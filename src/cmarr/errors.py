@@ -37,6 +37,11 @@ class FlatNotInLattice(CmarrError):
     """Flat does not belong to the arrangement's intersection lattice."""
 
 
+class MobiusSignViolation(CmarrError):
+    """A Mobius value is zero or has a sign other than (-1)^rank: the
+    computed poset is not a geometric lattice."""
+
+
 class UnsupportedType(CmarrError):
     """Root system label outside the simply laced A/D/E families."""
 

@@ -1,9 +1,19 @@
-"""Exact rational linear algebra for central hyperplane arrangements.
+"""Exact linear algebra for central hyperplane arrangements.
 
 Covectors (hyperplane normals) are stored as primitive integer tuples with a
 positive leading nonzero entry, so equality of hyperplanes is tuple equality.
-Subspaces carry a unique reduced row echelon basis over Fraction, so equality
-of flats is comparison of bases.  No floating point anywhere.
+No floating point anywhere.
+
+Two eliminations live here.  The integer kernel (`reduce_covector`,
+`echelon_insert`, `echelon`) keeps a span as echelon rows of primitive
+integers and reduces a covector against them by fraction-free row
+operations v <- a*v - b*row followed by division by the content.  Every step
+multiplies v by a nonzero integer and subtracts an element of the span, so
+the residual is zero exactly when v lies in the span: the kernel is exact by
+construction and needs no modulus, no determinant bound and no choice of
+prime.  The intersection lattice and `rank_of` run on it; flats are no
+longer compared by their RREF bases.  `Subspace` keeps the unique reduced
+echelon basis over Fraction for kernels, restrictions and essentialization.
 """
 
 from fractions import Fraction
@@ -85,7 +95,76 @@ def rank_of(covectors, dim=None):
         return 0
     if dim is not None and d != dim:
         raise DimensionMismatch("expected length %d, got %d" % (dim, d))
-    return len(rref(covectors))
+    return len(echelon(normalize_covector(c) for c in covectors
+                       if any(c)))
+
+
+def reduce_covector(vec, rows):
+    """Reduce an integer covector against integer echelon rows.
+
+    `rows` are primitive integer rows with strictly increasing pivots (first
+    nonzero columns), as built by `echelon_insert`.  Each row with a pivot
+    where v is nonzero is eliminated by v <- a*v - b*row (a/b the pivot
+    ratio in lowest terms), then v is divided by its content.  Returns None
+    when vec lies in the span of the rows, otherwise the primitive residual
+    with a positive leading entry.  The residual is zero at every pivot of
+    `rows`, and two covectors give the same residual exactly when they span
+    the same space together with the rows.
+    """
+    v = vec
+    p = 0
+    for row in rows:
+        while not row[p]:
+            p += 1
+        b = v[p]
+        if b:
+            a = row[p]
+            g = gcd(a, b)
+            a //= g
+            b //= g
+            v = [a * x - b * y for x, y in zip(v, row)]
+            g = gcd(*v)
+            if g > 1:
+                v = [x // g for x in v]
+        p += 1
+    g = gcd(*v)
+    if not g:
+        return None
+    for x in v:
+        if x:
+            if x < 0:
+                g = -g
+            break
+    return tuple(x // g for x in v)
+
+
+def _pivot(row):
+    for j, x in enumerate(row):
+        if x:
+            return j
+
+
+def echelon_insert(rows, residual):
+    """Echelon rows (a tuple) with a residual of `reduce_covector` added.
+
+    The residual is zero at every existing pivot, so placing it by its own
+    pivot keeps the pivots strictly increasing.
+    """
+    q = _pivot(residual)
+    i = 0
+    while i < len(rows) and _pivot(rows[i]) < q:
+        i += 1
+    return rows[:i] + (residual,) + rows[i:]
+
+
+def echelon(covectors):
+    """Primitive integer echelon rows spanning the given integer covectors."""
+    rows = ()
+    for c in covectors:
+        r = reduce_covector(c, rows)
+        if r is not None:
+            rows = echelon_insert(rows, r)
+    return rows
 
 
 class Subspace:

@@ -15,7 +15,7 @@ from .errors import FlatNotInLattice, IndexOutOfRange, MalformedPolynomial
 from .exactlin import common_kernel, restrict_covectors_to
 from .intpoly import IntPolynomial
 from .lattice import (Arrangement, build_lattice, essentialize,
-                      poincare_polynomial)
+                      localization_poincare, poincare_polynomial)
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -285,8 +285,7 @@ def _localization_residual(arr, lat):
     for f in lat.flats:
         if f.rank < 3 or len(f.hyperplanes) == n:
             continue
-        loc = essentialize(localization(arr, f))
-        p = poincare_polynomial(build_lattice(loc))
+        p = localization_poincare(lat, f)
         rep = exponents_from_poincare(p)
         if not rep.factors_integrally:
             return FreenessVerdict(

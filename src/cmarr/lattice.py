@@ -8,9 +8,13 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from .errors import BadPrime, DimensionMismatch, InconsistentCounts
-from .exactlin import (Subspace, common_kernel, in_row_span, normalize_covector,
-                       rank_of, rref, span_coordinates)
+from .errors import (BadPrime, DimensionMismatch, InconsistentCounts,
+                     MobiusSignViolation)
+# rref and in_row_span are unused here but stay bound in this module:
+# bench/trace_job.py wraps them by name.
+from .exactlin import (common_kernel, echelon_insert, in_row_span,  # noqa: F401
+                       normalize_covector, rank_of, reduce_covector, rref,
+                       span_coordinates)
 from .intpoly import IntPolynomial, lagrange_interpolate
 
 
@@ -73,113 +77,158 @@ class Arrangement:
 
 
 class Flat:
-    """A flat of the lattice: an intersection of some of the hyperplanes."""
+    """A flat of the lattice: an intersection of some of the hyperplanes.
 
-    __slots__ = ("subspace", "hyperplanes", "rank", "mobius")
+    `mask` has bit i set iff hyperplane i contains the flat; `hyperplanes`
+    is the same set as a frozenset of indices.  The subspace is computed
+    from the owning arrangement's covectors on first read.
+    """
 
-    def __init__(self, subspace, hyperplanes, rank, mobius=None):
-        self.subspace = subspace
-        self.hyperplanes = frozenset(hyperplanes)  # indices into arrangement
+    __slots__ = ("mask", "hyperplanes", "rank", "mobius", "_arr",
+                 "_subspace")
+
+    def __init__(self, arrangement, mask, rank, mobius=None):
+        self.mask = mask
+        self.hyperplanes = frozenset(_bits(mask))
         self.rank = rank
         self.mobius = mobius
+        self._arr = arrangement
+        self._subspace = None
+
+    @property
+    def subspace(self):
+        if self._subspace is None:
+            covs = self._arr.hyperplanes
+            self._subspace = common_kernel(
+                [covs[i] for i in sorted(self.hyperplanes)],
+                dim=self._arr.dim)
+        return self._subspace
 
     def __repr__(self):
         return "Flat(rank=%d, hyperplanes=%s, mobius=%r)" % (
             self.rank, sorted(self.hyperplanes), self.mobius)
 
 
-class IntersectionLattice:
-    __slots__ = ("arrangement", "flats", "by_rank", "bottom", "covers")
+def _bits(mask):
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return out
 
-    def __init__(self, arrangement, flats, by_rank, covers):
+
+class IntersectionLattice:
+    __slots__ = ("arrangement", "flats", "by_rank", "bottom")
+
+    def __init__(self, arrangement, flats, by_rank):
         self.arrangement = arrangement
         self.flats = flats
         self.by_rank = by_rank
         self.bottom = by_rank[0][0]
-        self.covers = covers
 
 
 def build_lattice(arr):
     """Rank-level closure of intersections, with Mobius numbers.
 
-    Flats are keyed by the span of their contained covectors (equivalently
-    by their subspace); containment of flats is containment of the
-    hyperplane index sets, which is valid because every flat of a central
-    arrangement is the intersection of the hyperplanes containing it.
+    A flat is the int bitmask of the hyperplanes containing it, so flat Z
+    lies below flat X iff Z & ~X == 0; this is valid because every flat of a
+    central arrangement is the intersection of the hyperplanes containing
+    it.  While its level is built, a flat also carries its span as integer
+    echelon rows (see `exactlin.reduce_covector`).
+
+    The children of a flat X are found from one reduction per hyperplane
+    outside X.  Hyperplane i reduces to a primitive residual that is zero at
+    every pivot of X's rows; residuals are compared as tuples, and two
+    hyperplanes give the same residual exactly when they span the same
+    child together with X.  So the first hyperplane with a new residual
+    starts a child, and every later one with that residual is absorbed into
+    it and starts none (the skip rule).  Children reached from several
+    parents are merged by mask.  The reduction stays in the integers and
+    only multiplies by nonzero scalars and subtracts span elements, so
+    membership in a span is decided exactly, with no modulus or prime.
+
+    Within a level flats are ordered by their sorted hyperplane indices.
     """
-    n = len(arr.hyperplanes)
     covs = arr.hyperplanes
-    bottom_key = ()
-    bottom = Flat(Subspace.full(arr.dim), frozenset(), 0, mobius=1)
-    by_rank = [[bottom]]
-    # span_of[flat id] = rref rows of the covectors through the flat
-    level = {bottom_key: (bottom, [])}
-    seen_hsets = {frozenset()}
+    n = len(covs)
+    levels = [[0]]
+    level = {0: ()}
     while True:
         next_level = {}
-        for _, (flat, span_rows) in level.items():
-            r = flat.rank
-            for h in range(n):
-                if h in flat.hyperplanes:
+        for x, rows in level.items():
+            children = {}
+            for i in range(n):
+                if x >> i & 1:
                     continue
-                if in_row_span(covs[h], span_rows):
-                    continue  # would not increase rank: already in this flat
-                new_rows = rref(list(span_rows) + [covs[h]])
-                key = tuple(new_rows)
-                if key in next_level:
-                    continue
-                hset = frozenset(i for i in range(n)
-                                 if in_row_span(covs[i], new_rows))
-                if hset in seen_hsets:
-                    continue
-                sub = common_kernel([covs[i] for i in sorted(hset)],
-                                    dim=arr.dim)
-                new_flat = Flat(sub, hset, r + 1)
-                next_level[key] = (new_flat, new_rows)
-                seen_hsets.add(hset)
+                res = reduce_covector(covs[i], rows)
+                if res in children:
+                    children[res] |= 1 << i
+                else:
+                    children[res] = x | 1 << i
+            for res, y in children.items():
+                if y not in next_level:
+                    next_level[y] = echelon_insert(rows, res)
         if not next_level:
             break
-        by_rank.append([f for f, _ in next_level.values()])
-        # deterministic order within a level: sort by hyperplane index set
-        by_rank[-1].sort(key=lambda f: tuple(sorted(f.hyperplanes)))
+        levels.append(sorted(next_level, key=_bits))
         level = next_level
+    mobius = mobius_by_rank(levels)
+    by_rank = [[Flat(arr, x, r, mu) for x, mu in zip(masks, mus)]
+               for r, (masks, mus) in enumerate(zip(levels, mobius))]
     flats = [f for lvl in by_rank for f in lvl]
-    # Mobius recursion mu(bottom) = 1, mu(X) = -sum_{Z < X} mu(Z)
+    return IntersectionLattice(arr, flats, by_rank)
+
+
+def mobius_by_rank(levels):
+    """Mobius values mu(V, X) for flats given as bitmasks per rank.
+
+    mu(bottom) = 1 and mu(X) = -sum of mu(Z) over the flats Z below X,
+    which lie in lower ranks.  In a geometric lattice mu(X) is nonzero with
+    sign (-1)^rank(X); a violation means the levels are not the lattice of
+    an arrangement and raises MobiusSignViolation.
+    """
+    out = [[1] * len(levels[0])]
+    below = [(z, 1) for z in levels[0]]
+    for r in range(1, len(levels)):
+        mus = []
+        for x in levels[r]:
+            mu = -sum(m for z, m in below if z & x == z)
+            if mu * (-1) ** r <= 0:
+                raise MobiusSignViolation(
+                    "Mobius sign violation at rank %d" % r)
+            mus.append(mu)
+        out.append(mus)
+        below.extend(zip(levels[r], mus))
+    return out
+
+
+def _poincare(flats, rank):
+    coeffs = [0] * (rank + 1)
     for f in flats:
-        if f.rank == 0:
-            continue
-        acc = 0
-        for g in flats:
-            if g.rank < f.rank and g.hyperplanes <= f.hyperplanes:
-                acc += g.mobius
-        f.mobius = -acc
-        sign = -1 if f.rank % 2 else 1
-        assert f.mobius * sign > 0, \
-            "Mobius sign violation at rank %d" % f.rank
-    covers = _covering_relations(by_rank)
-    return IntersectionLattice(arr, flats, by_rank, covers)
-
-
-def _covering_relations(by_rank):
-    covers = {}
-    for r in range(len(by_rank) - 1):
-        for i, f in enumerate(by_rank[r]):
-            ups = []
-            for j, g in enumerate(by_rank[r + 1]):
-                if f.hyperplanes <= g.hyperplanes:
-                    ups.append((r + 1, j))
-            covers[(r, i)] = ups
-    for j in range(len(by_rank[-1])):
-        covers[(len(by_rank) - 1, j)] = []
-    return covers
+        coeffs[f.rank] += f.mobius * (-1) ** f.rank
+    return IntPolynomial(coeffs)
 
 
 def poincare_polynomial(lat):
     """pi(A, t) = sum_X mu(X) (-t)^rank(X)."""
-    coeffs = [0] * len(lat.by_rank)
-    for f in lat.flats:
-        coeffs[f.rank] += f.mobius * (-1) ** f.rank
-    return IntPolynomial(coeffs)
+    return _poincare(lat.flats, len(lat.by_rank) - 1)
+
+
+def localization_poincare(lat, flat):
+    """pi(A_X, t) for the localization at flat X, read off L(A).
+
+    The lower interval [V, X] of L(A) is the lattice of A_X, with the same
+    Mobius values (Orlik-Terao, Arrangements of Hyperplanes, Ch. 2), so
+    pi(A_X, t) = sum over flats Z <= X of mu(Z) (-t)^rank(Z) and no
+    lattice is rebuilt.
+    """
+    x = flat.mask
+    return _poincare([z for z in lat.flats if z.mask & x == z.mask],
+                     flat.rank)
 
 
 def characteristic_polynomial(lat):

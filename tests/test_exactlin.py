@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cmarr.errors import DimensionMismatch, ZeroCovector
-from cmarr.exactlin import (Subspace, common_kernel, normalize_covector,
-                            rank_of, restrict_covectors_to)
+from cmarr.exactlin import (Subspace, common_kernel, echelon, in_row_span,
+                            normalize_covector, rank_of, reduce_covector,
+                            restrict_covectors_to, rref)
 from cmarr.generators import gen_G8
 
 
@@ -111,3 +112,51 @@ def test_restriction_rank_bounded():
     out = restrict_covectors_to(sub, G8_AMBIENT)
     assert len(out) == 25
     assert rank_of(out) == sub.dim == 3
+
+
+@st.composite
+def rows_and_probe(draw):
+    """Integer rows, some of them integer combinations of the others with a
+    shared large factor, and a probe covector inside or outside their span.
+    Entries reach 10**12."""
+    d = draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(-3, 3),
+                      st.integers(-10 ** 12, 10 ** 12))
+    vec = st.lists(entry, min_size=d, max_size=d)
+    base = draw(st.lists(vec, max_size=4))
+    coeffs = st.lists(st.integers(-5, 5), min_size=len(base),
+                      max_size=len(base))
+
+    def combination():
+        factor = draw(st.integers(1, 10 ** 9))
+        cs = draw(coeffs)
+        return [factor * sum(c * b[j] for c, b in zip(cs, base))
+                for j in range(d)]
+
+    rows = list(base)
+    if base:
+        rows += [combination() for _ in range(draw(st.integers(0, 3)))]
+    rows = draw(st.permutations(rows))
+    if base and draw(st.booleans()):
+        probe = combination()
+    else:
+        probe = draw(vec)
+    return rows, probe
+
+
+@settings(deadline=None)
+@given(rows_and_probe())
+def test_integer_kernel_matches_fraction_rref(case):
+    rows, probe = case
+    reduced = rref(rows)
+    ech = echelon(rows)
+    assert len(ech) == len(reduced) == rank_of(rows)
+    res = reduce_covector(probe, ech)
+    assert (res is None) == in_row_span(probe, reduced)
+    if res is not None:
+        assert normalize_covector(res) == res
+        assert rank_of(list(rows) + [res]) == len(reduced) + 1
+    pivots = [next(j for j, x in enumerate(r) if x) for r in ech]
+    assert pivots == sorted(set(pivots))
+    if res is not None:
+        assert all(res[p] == 0 for p in pivots)

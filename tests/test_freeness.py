@@ -5,9 +5,11 @@ from cmarr.errors import (FlatNotInLattice, IndexOutOfRange,
 from cmarr.freeness import (deletion, exponents_from_poincare,
                             inductive_freeness, localization,
                             nonfree_by_localization, restriction)
-from cmarr.generators import gen_G8, gen_coxeter_namikawa, gen_dihedral_even
+from cmarr.generators import (gen_G8, gen_coxeter_namikawa,
+                              gen_dihedral_even, gen_wreath)
 from cmarr.intpoly import IntPolynomial
-from cmarr.lattice import (Arrangement, build_lattice, poincare_polynomial)
+from cmarr.lattice import (Arrangement, build_lattice, essentialize,
+                           localization_poincare, poincare_polynomial)
 
 CONCURRENT3 = Arrangement(2, [(1, 0), (0, 1), (1, 1)])
 
@@ -104,6 +106,15 @@ def test_localization_g8_line():
     for c in loc.hyperplanes:
         for row in flats[0].subspace.basis:
             assert sum(a * b for a, b in zip(c, row)) == 0
+
+
+@pytest.mark.parametrize("arr", [gen_G8(), gen_wreath("A3", 4, 2)],
+                         ids=["G8", "wreath-A3-2"])
+def test_localization_poincare_is_lower_interval(arr):
+    lat = build_lattice(arr)
+    for f in lat.flats:
+        rebuilt = build_lattice(essentialize(localization(arr, f)))
+        assert localization_poincare(lat, f) == poincare_polynomial(rebuilt)
 
 
 def test_localization_foreign_flat_rejected():

@@ -1,13 +1,17 @@
-import pytest
+import itertools
 
-from cmarr.errors import BadPrime, InconsistentCounts
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cmarr.errors import BadPrime, InconsistentCounts, MobiusSignViolation
+from cmarr.exactlin import common_kernel, in_row_span, rref
 from cmarr.generators import gen_G4, gen_G8, gen_cyclic, gen_dihedral_even
 from cmarr.intpoly import IntPolynomial
 from cmarr.lattice import (Arrangement, admissible_primes, bad_primes,
                            build_lattice, char_poly_finite_field,
                            characteristic_polynomial, complement_count,
-                           essentialize, poincare_polynomial,
-                           whitney_numbers)
+                           essentialize, mobius_by_rank,
+                           poincare_polynomial, whitney_numbers)
 
 BOOLEAN2 = Arrangement(2, [(1, 0), (0, 1)])
 CONCURRENT3 = Arrangement(2, [(1, 0), (0, 1), (1, 1)])
@@ -156,3 +160,58 @@ def test_poincare_degree_and_w1(corpus):
         assert all(c >= 0 for c in p.coeffs)
         assert p.degree == arr.rank
         assert p.coeffs[1] == len(arr.hyperplanes)
+
+
+def test_mobius_sign_violation_is_typed():
+    assert mobius_by_rank([[0], [0b01, 0b10], [0b11]]) == [[1], [-1, -1], [1]]
+    # a "rank 2" mask lying above the bottom only gets mu = -1
+    with pytest.raises(MobiusSignViolation):
+        mobius_by_rank([[0], [0b01], [0b10]])
+    # a "rank 2" mask with a single element below it gets mu = 0
+    with pytest.raises(MobiusSignViolation):
+        mobius_by_rank([[0], [0b01], [0b01]])
+
+
+def _brute_force_flats(arr):
+    """Flats as (hyperplane set, rank, mu) from every subset S of A: its
+    closure is a flat, and mu(X) = sum of (-1)^|S| over the S closing to X
+    (Whitney's formula)."""
+    covs = arr.hyperplanes
+    n = len(covs)
+    rank, mu = {}, {}
+    for k in range(n + 1):
+        for subset in itertools.combinations(range(n), k):
+            rows = rref([covs[i] for i in subset])
+            x = frozenset(i for i in range(n) if in_row_span(covs[i], rows))
+            rank[x] = len(rows)
+            mu[x] = mu.get(x, 0) + (-1) ** k
+    return {(x, rank[x], mu[x]) for x in mu}
+
+
+@st.composite
+def small_arrangements(draw):
+    d = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any)
+    return Arrangement(d, draw(st.lists(vec, max_size=7)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_arrangements())
+def test_build_lattice_matches_brute_force(arr):
+    lat = build_lattice(arr)
+    got = [(f.hyperplanes, f.rank, f.mobius) for f in lat.flats]
+    assert len(got) == len(set(got))
+    assert set(got) == _brute_force_flats(arr)
+    for r, level in enumerate(lat.by_rank):
+        keys = [tuple(sorted(f.hyperplanes)) for f in level]
+        assert keys == sorted(keys)
+        assert all(f.rank == r for f in level)
+
+
+def test_lazy_subspace_is_common_kernel():
+    arr = gen_G8()
+    for f in build_lattice(arr).flats:
+        sub = common_kernel([arr.hyperplanes[i] for i in f.hyperplanes],
+                            dim=arr.dim)
+        assert f.subspace == sub
+        assert f.subspace.dim == arr.dim - f.rank
