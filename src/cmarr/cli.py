@@ -7,9 +7,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .arrfile import (emit_arrangement, parse_arrangement_with_warnings,
                       parse_weyl_token)
-from .errors import (BadPrime, EmptyBody, InconsistentCounts, InvalidN,
+from .errors import (BadPrime, CmarrError, DimensionMismatch, EmptyBody,
+                     InconsistentCounts, IndexOutOfRange, InvalidN,
                      InvalidOrder, InvalidParams, LayoutMismatch, NonIntegral,
-                     NotStable, ParseError, UnknownGenerator, UnsupportedType)
+                     NotStable, ParseError, UnknownGenerator, UnsupportedType,
+                     ZeroCovector)
 from .freeness import (DEFAULT_BUDGET, exponents_from_poincare,
                        inductive_freeness)
 from .generators import (default_group_order, gen_G4, gen_G8,
@@ -29,6 +31,7 @@ SCHEMA_VERSION = 1
 PARSE_ERROR_EXIT = 1
 MATH_AUDIT_EXIT = 2
 STRICT_UNKNOWN_EXIT = 3
+INTERNAL_ERROR_EXIT = 4  # any other CmarrError: an internal check failed
 
 
 class _StrictUnknown(Exception):
@@ -318,6 +321,12 @@ def main(argv=None):
             sys.stdout.write(emit_arrangement(arr))
             return 0
         if args.command == "analyze":
+            for flag, value, least in (("--threads", args.threads, 1),
+                                       ("--budget", args.budget, 1),
+                                       ("--ff-primes", args.ff_primes, 0)):
+                if value < least:
+                    raise InvalidParams("%s must be at least %d, got %d"
+                                        % (flag, least, value))
             try:
                 text = _read_input(args.file)
             except OSError as e:
@@ -347,13 +356,18 @@ def main(argv=None):
                 sys.stdout.write(render_audit(report))
             return 0
     except (ParseError, EmptyBody, UnknownGenerator, InvalidParams,
-            InvalidOrder, InvalidN, UnsupportedType) as e:
+            InvalidOrder, InvalidN, UnsupportedType, ZeroCovector,
+            DimensionMismatch, IndexOutOfRange) as e:
         print("error: %s" % e, file=sys.stderr)
         return PARSE_ERROR_EXIT
     except (NonIntegral, NotStable, LayoutMismatch, InconsistentCounts,
             BadPrime) as e:
         print("error: %s" % e, file=sys.stderr)
         return MATH_AUDIT_EXIT
+    except CmarrError as e:
+        print("error: internal check failed: %s: %s"
+              % (type(e).__name__, e), file=sys.stderr)
+        return INTERNAL_ERROR_EXIT
     return 0
 
 

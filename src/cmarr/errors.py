@@ -42,6 +42,18 @@ class MobiusSignViolation(CmarrError):
     computed poset is not a geometric lattice."""
 
 
+class InexactDivision(CmarrError):
+    """A linear factor (1 + b t) does not divide the polynomial."""
+
+
+class ExponentMismatch(CmarrError):
+    """Freeness chain exponents differ from the Poincare factorization."""
+
+
+class GeneratorInvariant(CmarrError):
+    """A generator built a root system or G8 model of the wrong size."""
+
+
 class UnsupportedType(CmarrError):
     """Root system label outside the simply laced A/D/E families."""
 

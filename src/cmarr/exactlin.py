@@ -11,13 +11,14 @@ operations v <- a*v - b*row followed by division by the content.  Every step
 multiplies v by a nonzero integer and subtracts an element of the span, so
 the residual is zero exactly when v lies in the span: the kernel is exact by
 construction and needs no modulus, no determinant bound and no choice of
-prime.  The intersection lattice and `rank_of` run on it; flats are no
-longer compared by their RREF bases.  `Subspace` keeps the unique reduced
-echelon basis over Fraction for kernels, restrictions and essentialization.
+prime.  The intersection lattice, `rank_of`, circuits, nbc sets and
+`span_coordinates` run on it.  `rref` over Fraction runs only where the
+unique reduced echelon basis is itself the output: `Subspace` and
+`common_kernel`.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ZeroCovector, DimensionMismatch
 
@@ -26,19 +27,15 @@ def normalize_covector(raw):
     """Return the canonical integer covector defining the same hyperplane.
 
     Accepts any iterable of ints / Fractions.  Clears denominators, divides
-    by the gcd and flips sign so the first nonzero entry is positive.
+    by the gcd and flips sign so the first nonzero entry is positive.  Ints
+    have denominator 1, so integer input never leaves the integers.
     """
-    vals = [Fraction(x) for x in raw]
-    if all(v == 0 for v in vals):
+    vals = tuple(raw)
+    denom_lcm = lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (denom_lcm // v.denominator) for v in vals]
+    g = gcd(*ints)
+    if not g:
         raise ZeroCovector("covector has no nonzero entry")
-    denom_lcm = 1
-    for v in vals:
-        d = v.denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    ints = [int(v * denom_lcm) for v in vals]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
     ints = [x // g for x in ints]
     for x in ints:
         if x != 0:
@@ -241,19 +238,23 @@ def restrict_covectors_to(sub, covectors):
     """Express covectors in the coordinates of sub's basis.
 
     Drops forms vanishing identically on sub, normalizes and deduplicates
-    (first occurrence wins).  Output covectors have length sub.dim.
+    (first occurrence wins).  Output covectors have length sub.dim.  The
+    basis is scaled by its common denominator; normalization removes that
+    positive factor, and integer covectors stay in the integers.
     """
     if sub.dim < 1:
         raise DimensionMismatch("cannot restrict to a zero-dimensional subspace")
+    denom = lcm(*(x.denominator for row in sub.basis for x in row))
+    basis = [[x.numerator * (denom // x.denominator) for x in row]
+             for row in sub.basis]
     out = []
     seen = set()
     for c in covectors:
         if len(c) != sub.dim_ambient:
             raise DimensionMismatch(
                 "covector length %d != ambient %d" % (len(c), sub.dim_ambient))
-        coords = tuple(sum(Fraction(ci) * bi for ci, bi in zip(c, row))
-                       for row in sub.basis)
-        if all(x == 0 for x in coords):
+        coords = [sum(ci * bi for ci, bi in zip(c, row)) for row in basis]
+        if not any(coords):
             continue
         nc = normalize_covector(coords)
         if nc not in seen:
@@ -282,21 +283,14 @@ def in_row_span(vec, reduced_rows):
 def span_coordinates(covectors):
     """Coordinates of each covector in the canonical basis of their joint span.
 
-    Returns (reduced_basis, coords) where coords[i] is the tuple of
-    coefficients expressing covectors[i] over reduced_basis.  Because the
-    basis is in reduced echelon form, the coefficients are read off at the
-    pivot columns.  This change of coordinates preserves every linear
-    dependency, so it realizes the essentialization of an arrangement.
+    Returns coords where coords[i] is the tuple of coefficients expressing
+    covectors[i] over the reduced echelon basis of the span.
+    That basis has a 1 at its own pivot column and 0 at every other pivot,
+    so the coefficients are the entries at the pivot columns, and these are
+    an invariant of the span: they are read off the integer `echelon`.  This
+    change of coordinates preserves every linear dependency, so it realizes
+    the essentialization of an arrangement.
     """
     covectors = list(covectors)
-    reduced = rref(covectors)
-    pivots = []
-    for row in reduced:
-        for j, x in enumerate(row):
-            if x != 0:
-                pivots.append(j)
-                break
-    coords = []
-    for c in covectors:
-        coords.append(tuple(Fraction(c[p]) for p in pivots))
-    return reduced, coords
+    pivots = [_pivot(row) for row in echelon(covectors)]
+    return [tuple(c[p] for p in pivots) for c in covectors]

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import FlatNotInLattice, IndexOutOfRange, MalformedPolynomial
+from .errors import (ExponentMismatch, FlatNotInLattice, IndexOutOfRange,
+                     InexactDivision, MalformedPolynomial)
 from .exactlin import common_kernel, restrict_covectors_to
 from .intpoly import IntPolynomial
 from .lattice import (Arrangement, build_lattice, essentialize,
@@ -78,13 +79,16 @@ def _eval_at(coeffs, x):
 
 
 def _divide_linear(coeffs, b):
-    """Exact quotient of the polynomial by (1 + b t); assumes divisibility."""
+    """Exact quotient of the polynomial by (1 + b t), else InexactDivision."""
     # coeffs[k+1] = q[k+1] + b*q[k], solved from the top down
     q = [0] * (len(coeffs) - 1)
     q[-1] = coeffs[-1] // b
     for k in range(len(q) - 2, -1, -1):
         q[k] = (coeffs[k + 1] - q[k + 1]) // b
-    assert q[0] == 1
+    # floor division hides a remainder, so multiply back
+    if [q[0]] + [q[k] + b * q[k - 1] for k in range(1, len(q))] \
+            + [b * q[-1]] != list(coeffs):
+        raise InexactDivision("1 + %dt does not divide %r" % (b, coeffs))
     return q
 
 
@@ -216,8 +220,8 @@ def _inductive(arr, memo, bud, known_p=None):
     # The recursion hands each child its Poincare polynomial through the
     # deletion-restriction identity p(A) = p(A') + t p(A''), so only the
     # root and the (lower-dimensional) restrictions ever build a lattice.
-    p = known_p if known_p is not None \
-        else poincare_polynomial(build_lattice(arr))
+    lat = build_lattice(arr) if known_p is None else None
+    p = known_p if lat is None else poincare_polynomial(lat)
     rep = exponents_from_poincare(p)
     if not rep.factors_integrally:
         v = FreenessVerdict("NotFree",
@@ -262,14 +266,17 @@ def _inductive(arr, memo, bud, known_p=None):
         chain = [step]
         if isinstance(v1.witness, dict) and "chain" in v1.witness:
             chain += v1.witness["chain"]
+        if exps != target_exps:
+            raise ExponentMismatch(
+                "chain exponents %r disagree with Poincare factorization %r"
+                % (exps, target_exps))
         v = FreenessVerdict("InductivelyFree", exps, witness={"chain": chain})
-        assert sorted(exps) == sorted(target_exps), \
-            "chain exponents disagree with Poincare factorization"
         memo[key] = v
         return v
     # the search failed: look for a cheap non-freeness certificate among
     # proper localizations of rank >= 3 before giving up
-    nf = _localization_residual(arr, build_lattice(arr))
+    nf = _localization_residual(
+        arr, build_lattice(arr) if lat is None else lat)
     if nf is not None:
         memo[key] = nf
         return nf

@@ -12,7 +12,8 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import (InvalidN, InvalidOrder, InvalidParams, UnsupportedType)
+from .errors import (GeneratorInvariant, InvalidN, InvalidOrder,
+                     InvalidParams, UnsupportedType)
 from .exactlin import normalize_covector
 from .intpoly import IntPolynomial
 from .lattice import Arrangement
@@ -119,9 +120,9 @@ def root_system(label):
     rs = RootSystem(label)
     expect = (_ROOT_COUNTS[rs.family][rs.rank] if rs.family == "E"
               else _ROOT_COUNTS[rs.family](rs.rank))
-    assert len(rs.all_roots) == expect, \
-        "%s closure gave %d roots, expected %d" % (label, len(rs.all_roots),
-                                                   expect)
+    if len(rs.all_roots) != expect:
+        raise GeneratorInvariant("%s closure gave %d roots, expected %d"
+                                 % (label, len(rs.all_roots), expect))
     return rs
 
 
@@ -322,7 +323,9 @@ def gen_G8():
     roots = set(gen_coxeter_namikawa((4,)).hyperplanes)
     tags = ["T" if c in roots else "F" for c in covs]
     arr = Arrangement(3, covs, label="G8", tags=tags, weyl=(4,))
-    assert len(arr.hyperplanes) == 25, "G8 essentialization lost hyperplanes"
+    if len(arr.hyperplanes) != 25:
+        raise GeneratorInvariant("G8 essentialization kept %d of 25 "
+                                 "hyperplanes" % len(arr.hyperplanes))
     return arr
 
 
@@ -342,16 +345,6 @@ class TableRow:
     @property
     def poincare(self):
         return IntPolynomial.from_factors(self.poincare_factors)
-
-    @property
-    def weyl_order(self):
-        out = 1
-        for m in self.weyl:
-            f = 1
-            for k in range(2, m + 1):
-                f *= k
-            out *= f
-        return out
 
 
 def table1_rows():

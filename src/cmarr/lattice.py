@@ -255,8 +255,7 @@ def essentialize(arr):
     """
     if arr.rank == arr.dim:
         return arr
-    _, coords = span_coordinates(arr.hyperplanes)
-    return Arrangement(arr.rank, [normalize_covector(c) for c in coords],
+    return Arrangement(arr.rank, span_coordinates(arr.hyperplanes),
                        label=arr.label, tags=arr.tags)
 
 

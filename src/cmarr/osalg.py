@@ -4,11 +4,9 @@ Only the graded dimensions of the cohomology of the complement are computed;
 the algebra itself is represented combinatorially through nbc sets.
 """
 
-import itertools
-from fractions import Fraction
-from math import gcd
-
-from .exactlin import rref
+# rref is unused here but stays bound in this module: bench/trace_job.py
+# wraps it by name.
+from .exactlin import echelon_insert, reduce_covector, rref  # noqa: F401
 
 
 class CircuitSet:
@@ -44,68 +42,42 @@ class NbcBasis:
         return sum(self.sizes)
 
 
-def _subset_rank(covs, idx):
-    return len(rref([covs[i] for i in idx]))
-
-
-_circuit_cache = {}
-
-
 def circuits(arr):
-    """Minimal dependent subsets, found by increasing size with pruning.
+    """Minimal dependent subsets, found by a DFS over independent subsets.
 
-    A size-k subset all of whose (k-1)-subsets are independent is a circuit
-    iff its rank is k-1.  No circuit exceeds rank+1 elements in a central
-    arrangement.  Results are cached on the canonical covector list, since
-    nbc enumeration under several orders reuses the same circuits.
+    No circuit exceeds rank+1 elements in a central arrangement.
     """
-    cache_key = (arr.dim, arr.hyperplanes)  # index sets depend on the order
-    cached = _circuit_cache.get(cache_key)
-    if cached is not None:
-        return cached
     covs = arr.hyperplanes
     n = len(covs)
+    width = arr.rank + 1
     found = []
     # DFS over independent subsets in increasing index order.  At a node I,
     # a later covector h lying in span(I) closes the unique circuit inside
     # I + {h}; it equals I + {h} exactly when the representation of h over
     # I uses every element, and every circuit is met exactly once this way
-    # (at I = circuit minus its largest element).  Rows carry integer
-    # forward-elimination state plus the combination over I.
+    # (at I = circuit minus its largest element).  The element at depth k
+    # is augmented by the unit vector e_k in `width` extra columns, so the
+    # integer kernel's residual of h's augmented vector against the rows of
+    # I carries, after the covector part, the coefficients of h and of each
+    # element of I in the combination it eliminated.  The covector part is
+    # zero exactly when h lies in span(I), and then the nonzero depth
+    # coefficients name the circuit.
 
     def dfs(current, rows, start):
+        depth = len(current)
+        unit = (0,) * depth + (1,) + (0,) * (width - depth - 1)
         for h in range(start, n):
-            v = list(covs[h])
-            combo = [0] * len(current)
-            mult = 1
-            for rv, rlead, rcombo in rows:
-                if v[rlead] != 0:
-                    p, f = rv[rlead], v[rlead]
-                    v = [p * x - f * y for x, y in zip(v, rv)]
-                    combo = [p * a - f * b for a, b in zip(combo, rcombo)]
-                    mult *= p
-            lead = next((j for j, x in enumerate(v) if x != 0), None)
-            if lead is None:
-                if all(c != 0 for c in combo):
+            res = reduce_covector(covs[h] + unit, rows)
+            if not any(res[:arr.dim]):
+                if all(res[arr.dim:arr.dim + depth]):
                     found.append(tuple(current) + (h,))
                 continue
-            g = abs(mult)
-            for x in v:
-                g = gcd(g, abs(x))
-            for c in combo:
-                g = gcd(g, abs(c))
-            new_rows = [(rv, rlead, rcombo + [0]) for rv, rlead, rcombo
-                        in rows]
-            new_rows.append(([x // g for x in v], lead,
-                             [c // g for c in combo] + [mult // g]))
             current.append(h)
-            dfs(current, new_rows, h + 1)
+            dfs(current, echelon_insert(rows, res), h + 1)
             current.pop()
 
-    dfs([], [], 0)
-    result = CircuitSet(sorted(found))
-    _circuit_cache[cache_key] = result
-    return result
+    dfs([], (), 0)
+    return CircuitSet(sorted(found))
 
 
 def broken_circuits(circuit_set, order):
@@ -156,14 +128,14 @@ def nbc_basis(arr, order=None):
                     break
             if violated:
                 continue
-            new_rows = rref(list(basis_rows) + [covs[h]])
-            if len(new_rows) == len(basis_rows):
+            res = reduce_covector(covs[h], basis_rows)
+            if res is None:
                 continue  # dependent; supersets stay dependent
             current.append(h)
-            dfs(p + 1, current, new_rows)
+            dfs(p + 1, current, echelon_insert(basis_rows, res))
             current.pop()
 
-    dfs(0, [], [])
+    dfs(0, [], ())
     for bucket in sets_by_size:
         bucket.sort()
     return NbcBasis(order, sets_by_size)

@@ -205,7 +205,7 @@ def audit_table1(rows=None):
         expected_dim = sum(m - 1 for m in row.weyl)
         check_degree = (p.degree == expected_dim)
         total = p(1)
-        order = row.weyl_order
+        order = group_order(row.weyl)
         if total % order:
             computed_e = None
             check_e = False

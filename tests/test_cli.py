@@ -3,6 +3,8 @@ from importlib import resources
 
 import pytest
 
+import cmarr.cli as cli_mod
+from cmarr import errors
 from cmarr.arrfile import (emit_arrangement, parse_arrangement,
                            parse_arrangement_with_warnings, parse_weyl_token)
 from cmarr.cli import main
@@ -181,6 +183,45 @@ def test_analyze_strict_unknown_exit(capsys, tmp_path):
     code, _, err = run(capsys, ["analyze", str(path), "--free",
                                 "--budget", "1", "--strict"])
     assert code == 3
+
+
+@pytest.mark.parametrize("flags", [["--threads", "0"], ["--budget", "0"],
+                                   ["--free", "--budget", "-2"],
+                                   ["--ff-primes", "-1"]])
+def test_analyze_rejects_out_of_range_counts(capsys, tmp_path, flags):
+    path = tmp_path / "b.arr"
+    path.write_text("dim 2\nh 1 0\nh 0 1\n")
+    code, out, err = run(capsys, ["analyze", str(path), "--poincare"] + flags)
+    assert code == 1 and out == ""
+    assert err.startswith("error: %s must be at least" % flags[-2])
+
+
+def test_analyze_zero_projected_covector_exit(capsys, tmp_path):
+    # (1, 1, 1) lies on the zero-sum block's normal and projects to zero
+    path = tmp_path / "z.arr"
+    path.write_text("dim 3\nproject-zero-sum blocks=3\nh 1 1 1\nh 1 0 0\n")
+    code, out, err = run(capsys, ["analyze", str(path), "--poincare"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("error, exit_code", [
+    (errors.ZeroCovector, 1), (errors.DimensionMismatch, 1),
+    (errors.IndexOutOfRange, 1), (errors.MalformedPolynomial, 4),
+    (errors.FlatNotInLattice, 4), (errors.MobiusSignViolation, 4),
+    (errors.InexactDivision, 4), (errors.ExponentMismatch, 4),
+    (errors.GeneratorInvariant, 4)])
+def test_library_errors_map_to_exit_codes(capsys, tmp_path, monkeypatch,
+                                          error, exit_code):
+    def failing(arr):
+        raise error("injected")
+
+    monkeypatch.setattr(cli_mod, "build_lattice", failing)
+    path = tmp_path / "b.arr"
+    path.write_text("dim 2\nh 1 0\nh 0 1\n")
+    code, out, err = run(capsys, ["analyze", str(path), "--poincare"])
+    assert code == exit_code and out == ""
+    assert err.startswith("error: ") and "injected" in err
 
 
 def test_analyze_ff_threads_agree(capsys, tmp_path):

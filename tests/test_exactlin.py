@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from cmarr.exactlin import (Subspace, common_kernel, echelon, in_row_span,
                             normalize_covector, rank_of, reduce_covector,
                             restrict_covectors_to, rref)
 from cmarr.generators import gen_G8
+from cmarr.lattice import Arrangement, essentialize
 
 
 def test_normalize_integer_input():
@@ -160,3 +162,100 @@ def test_integer_kernel_matches_fraction_rref(case):
     assert pivots == sorted(set(pivots))
     if res is not None:
         assert all(res[p] == 0 for p in pivots)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction route, kept as the reference for the integer one
+
+
+def _reference_normalize(raw):
+    """Clear denominators over Fraction, divide by the gcd, make the first
+    nonzero entry positive."""
+    vals = [Fraction(x) for x in raw]
+    den = 1
+    for v in vals:
+        den = den * v.denominator // gcd(den, v.denominator)
+    ints = [int(v * den) for v in vals]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    sign = next(1 if x > 0 else -1 for x in ints if x)
+    return tuple(sign * x // g for x in ints)
+
+
+def _reference_restrict(sub, covectors):
+    """Coordinates over sub's Fraction basis, normalized, first one kept."""
+    out = []
+    for c in covectors:
+        coords = [sum(Fraction(ci) * bi for ci, bi in zip(c, row))
+                  for row in sub.basis]
+        if any(coords):
+            nc = _reference_normalize(coords)
+            if nc not in out:
+                out.append(nc)
+    return tuple(out)
+
+
+def _reference_essentialize(arr):
+    """Coordinates over the Fraction RREF basis of the span: the entries at
+    its pivot columns."""
+    reduced = rref(arr.hyperplanes)
+    pivots = [next(j for j, x in enumerate(r) if x) for r in reduced]
+    return tuple(_reference_normalize([c[p] for p in pivots])
+                 for c in arr.hyperplanes)
+
+
+@st.composite
+def spanned_covectors(draw):
+    """(d, integer covectors in Q^d), d <= 5: small base rows, often fewer
+    than d, plus sparse combinations of them whose coefficients carry large
+    factors."""
+    d = draw(st.integers(1, 5))
+    vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any)
+    base = draw(st.lists(vec, min_size=1, max_size=d))
+    coeff = st.tuples(st.sampled_from([-1, 0, 1, 1]),
+                      st.integers(1, 10 ** 9))
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 5))):
+        cs = draw(st.lists(coeff, min_size=len(base), max_size=len(base)))
+        row = [sum(s * f * b[j] for (s, f), b in zip(cs, base))
+               for j in range(d)]
+        if any(row):
+            rows.append(row)
+    return d, draw(st.permutations(rows))
+
+
+@settings(deadline=None, max_examples=80)
+@given(spanned_covectors())
+def test_essentialize_matches_fraction_reference(case):
+    d, rows = case
+    arr = Arrangement(d, rows)
+    ess = essentialize(arr)
+    assert ess.dim == arr.rank
+    assert ess.hyperplanes == _reference_essentialize(arr)
+
+
+@settings(deadline=None, max_examples=80)
+@given(spanned_covectors(),
+       st.lists(st.lists(st.integers(-4, 4), min_size=5, max_size=5),
+                min_size=1, max_size=4))
+def test_restrict_matches_fraction_reference(case, sub_rows):
+    d, covs = case
+    sub = Subspace(d, [r[:d] for r in sub_rows])
+    if sub.dim == 0:
+        return
+    out = restrict_covectors_to(sub, covs)
+    assert out == _reference_restrict(sub, covs)
+    assert all(type(x) is int for c in out for x in c)
+
+
+@given(st.lists(st.one_of(st.integers(-3, 3),
+                          st.integers(-10 ** 12, 10 ** 12)),
+                min_size=1, max_size=6).filter(any),
+       st.integers(10 ** 9, 10 ** 18))
+def test_normalize_integer_matches_fraction(entries, factor):
+    for ints in (entries, [factor * x for x in entries]):
+        got = normalize_covector(ints)
+        assert got == normalize_covector([Fraction(x) for x in ints])
+        assert got == _reference_normalize(ints)
+        assert all(type(x) is int for x in got)

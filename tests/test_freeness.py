@@ -1,10 +1,13 @@
 import pytest
 
-from cmarr.errors import (FlatNotInLattice, IndexOutOfRange,
+import cmarr.freeness as free_mod
+from cmarr.errors import (ExponentMismatch, FlatNotInLattice,
+                          IndexOutOfRange, InexactDivision,
                           MalformedPolynomial)
-from cmarr.freeness import (deletion, exponents_from_poincare,
-                            inductive_freeness, localization,
-                            nonfree_by_localization, restriction)
+from cmarr.freeness import (ExponentReport, _divide_linear, deletion,
+                            exponents_from_poincare, inductive_freeness,
+                            localization, nonfree_by_localization,
+                            restriction)
 from cmarr.generators import (gen_G8, gen_coxeter_namikawa,
                               gen_dihedral_even, gen_wreath)
 from cmarr.intpoly import IntPolynomial
@@ -38,6 +41,33 @@ def test_exponents_boolean():
 def test_exponents_requires_unit_constant():
     with pytest.raises(MalformedPolynomial):
         exponents_from_poincare(IntPolynomial([2, 3]))
+
+
+def test_divide_linear_exact_and_typed():
+    assert _divide_linear([1, 3, 2], 2) == [1, 1]
+    # -1/2 is not a root of 1 + 2t + t^2; floor division alone would
+    # return [1, 0] with the right constant term
+    with pytest.raises(InexactDivision):
+        _divide_linear([1, 2, 1], 2)
+    with pytest.raises(InexactDivision):
+        _divide_linear([1, 4, 3], 2)
+
+
+def test_chain_exponent_mismatch_is_typed(monkeypatch):
+    # a factorization claiming one exponent too many for A3 (1, 2, 3):
+    # every chain found gives (1, 2, 3), which must not pass silently
+    arr = gen_coxeter_namikawa((4,))
+    root_p = poincare_polynomial(build_lattice(arr))
+    real = free_mod.exponents_from_poincare
+
+    def corrupted(p):
+        if p == root_p:
+            return ExponentReport(True, (1, 2, 3, 3))
+        return real(p)
+
+    monkeypatch.setattr(free_mod, "exponents_from_poincare", corrupted)
+    with pytest.raises(ExponentMismatch):
+        inductive_freeness(arr)
 
 
 def test_exponents_product_reconstructs(corpus):

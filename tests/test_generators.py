@@ -1,7 +1,8 @@
 import pytest
 
-from cmarr.errors import (InvalidN, InvalidOrder, InvalidParams,
-                          UnsupportedType)
+import cmarr.generators as gen_mod
+from cmarr.errors import (GeneratorInvariant, InvalidN, InvalidOrder,
+                          InvalidParams, UnsupportedType)
 from cmarr.generators import (RootSystem, default_group_order, gen_G4,
                               gen_G8, gen_coxeter_namikawa, gen_cyclic,
                               gen_dihedral_even, gen_wreath,
@@ -23,6 +24,20 @@ def test_root_counts():
     assert len(root_system("E6").all_roots) == 72
     assert len(root_system("E7").all_roots) == 126
     assert len(root_system("E8").all_roots) == 240
+
+
+def test_root_count_mismatch_is_typed(monkeypatch):
+    counts = dict(gen_mod._ROOT_COUNTS, A=lambda n: n * (n + 1) + 2)
+    monkeypatch.setattr(gen_mod, "_ROOT_COUNTS", counts)
+    with pytest.raises(GeneratorInvariant):
+        root_system("A2")
+
+
+def test_g8_cardinality_is_typed(monkeypatch):
+    ambient = list(gen_mod.G8_AMBIENT)
+    monkeypatch.setattr(gen_mod, "G8_AMBIENT", ambient[:-1] + ambient[:1])
+    with pytest.raises(GeneratorInvariant):
+        gen_G8()
 
 
 def test_root_system_closed_under_negation():

@@ -1,4 +1,7 @@
+import itertools
 import random
+
+from hypothesis import given, settings, strategies as st
 
 from cmarr.lattice import Arrangement, build_lattice, whitney_numbers
 from cmarr.generators import gen_G4, gen_G8, gen_dihedral_even
@@ -76,3 +79,44 @@ def test_nbc_counts_order_invariant_equal_whitney(corpus):
             orders.append(tuple(order))
         for order in orders:
             assert nbc_basis(arr, order).sizes == wn
+
+
+@st.composite
+def factored_arrangements(draw):
+    """At most 7 covectors in dim <= 4: small rows plus sparse integer
+    combinations of them whose coefficients carry large factors, so that
+    small circuits occur among rows with large entries."""
+    d = draw(st.integers(2, 4))
+    vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any)
+    base = draw(st.lists(vec, min_size=2, max_size=4))
+    coeff = st.tuples(st.sampled_from([-1, 0, 1, 1]),
+                      st.integers(1, 10 ** 9))
+    rows = list(base)
+    for _ in range(draw(st.integers(1, 7 - len(base)))):
+        cs = draw(st.lists(coeff, min_size=len(base), max_size=len(base)))
+        row = [sum(s * f * b[j] for (s, f), b in zip(cs, base))
+               for j in range(d)]
+        if any(row):
+            rows.append(row)
+    return Arrangement(d, draw(st.permutations(rows)))
+
+
+def _brute_force_circuits(arr):
+    """Every subset of rank |S| - 1 all of whose one-smaller subsets are
+    independent."""
+    covs = arr.hyperplanes
+    out = []
+    for k in range(1, len(covs) + 1):
+        for s in itertools.combinations(range(len(covs)), k):
+            rows = [covs[i] for i in s]
+            if rank_of(rows) == k - 1 and all(
+                    rank_of(rows[:j] + rows[j + 1:]) == k - 1
+                    for j in range(k)):
+                out.append(s)
+    return sorted(out)
+
+
+@settings(deadline=None, max_examples=80)
+@given(factored_arrangements())
+def test_circuits_match_brute_force(arr):
+    assert list(circuits(arr).circuits) == _brute_force_circuits(arr)
