@@ -16,7 +16,7 @@ form); parse o emit is the identity on canonical files.
 
 from fractions import Fraction
 
-from .errors import EmptyBody, ParseError
+from .errors import EmptyBody, ParseError, ZeroCovector
 from .generators import project_zero_sum
 from .lattice import Arrangement
 
@@ -45,6 +45,7 @@ def parse_arrangement_with_warnings(text):
     label = None
     blocks = None
     covectors = []
+    linenos = []
     tags = []
     warnings = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -101,6 +102,7 @@ def parse_arrangement_with_warnings(text):
             if all(x == 0 for x in cov):
                 raise ParseError("zero covector", lineno)
             covectors.append(cov)
+            linenos.append(lineno)
             tags.append(tag)
         else:
             raise ParseError("unknown directive %r" % head, lineno)
@@ -120,7 +122,14 @@ def parse_arrangement_with_warnings(text):
         if weyl is not None and weyl != blocks:
             raise ParseError("weyl layout conflicts with zero-sum blocks")
         weyl = blocks
-        covectors = [project_zero_sum(c, blocks) for c in covectors]
+        projected = []
+        for cov, lineno in zip(covectors, linenos):
+            try:
+                projected.append(project_zero_sum(cov, blocks))
+            except ZeroCovector:
+                raise ParseError("covector projects to zero under "
+                                 "project-zero-sum", lineno)
+        covectors = projected
         dim = sum(b - 1 for b in blocks)
     if weyl is not None and sum(m - 1 for m in weyl) != dim:
         raise ParseError("weyl layout %s does not match dimension %d"

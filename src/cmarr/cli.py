@@ -314,7 +314,12 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 on a usage error after printing the usage line;
+        # 2 is this command's "mathematical audit failed"
+        return PARSE_ERROR_EXIT if e.code else 0
     try:
         if args.command == "gen":
             arr = run_generate(args.name, args)

@@ -11,9 +11,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import (ExponentMismatch, FlatNotInLattice, IndexOutOfRange,
-                     InexactDivision, MalformedPolynomial)
-from .exactlin import common_kernel, restrict_covectors_to
+from .errors import (DimensionMismatch, ExponentMismatch, FlatNotInLattice,
+                     IndexOutOfRange, InexactDivision, MalformedPolynomial)
+# common_kernel and restrict_covectors_to are unused here but stay bound in
+# this module: bench/trace_job.py wraps them by name.
+from .exactlin import (common_kernel, echelon, reduce_covector,  # noqa: F401
+                       restrict_covectors_to)
 from .intpoly import IntPolynomial
 from .lattice import (Arrangement, build_lattice, essentialize,
                       localization_poincare, poincare_polynomial)
@@ -105,13 +108,30 @@ def deletion(arr, h):
 
 
 def restriction(arr, h):
-    """The arrangement {H ∩ K : K != H} inside hyperplane h (dim - 1)."""
+    """The arrangement {H ∩ K : K != H} inside hyperplane h (dim - 1).
+
+    Coordinates are those of the reduced echelon basis of H = ker(a): it
+    has a pivot at every column except q, the last with a_q != 0, so K
+    restricts to (a_q c_j - c_q a_j) for j != q, up to the scalar that
+    normalization removes.  Forms vanishing on H are dropped and duplicates
+    keep their first occurrence.
+    """
     if not 0 <= h < len(arr.hyperplanes):
         raise IndexOutOfRange("hyperplane index %d out of range" % h)
-    sub = common_kernel([arr.hyperplanes[h]], dim=arr.dim)
-    others = [c for i, c in enumerate(arr.hyperplanes) if i != h]
-    covs = restrict_covectors_to(sub, others)
-    return Arrangement(sub.dim, covs)
+    if arr.dim < 2:
+        raise DimensionMismatch(
+            "cannot restrict to a zero-dimensional subspace")
+    a = arr.hyperplanes[h]
+    q = max(j for j, x in enumerate(a) if x)
+    covs = []
+    for i, c in enumerate(arr.hyperplanes):
+        if i == h:
+            continue
+        coords = [a[q] * cj - c[q] * aj
+                  for j, (cj, aj) in enumerate(zip(c, a)) if j != q]
+        if any(coords):
+            covs.append(coords)
+    return Arrangement(arr.dim - 1, covs)
 
 
 def localization(arr, flat):
@@ -119,19 +139,18 @@ def localization(arr, flat):
     for i in flat.hyperplanes:
         if not 0 <= i < len(arr.hyperplanes):
             raise FlatNotInLattice("hyperplane index %d out of range" % i)
-        cov = arr.hyperplanes[i]
-        for row in flat.subspace.basis:
-            if sum(Fraction(c) * x for c, x in zip(cov, row)) != 0:
-                raise FlatNotInLattice(
-                    "hyperplane %d does not contain the flat" % i)
-    # a genuine flat of this arrangement lists *every* hyperplane that
-    # contains it, so an unlisted hyperplane vanishing on the subspace
-    # means the flat belongs to some other arrangement's lattice
+    # the flat is cut out by the listed covectors of its own arrangement,
+    # and a hyperplane contains it iff its covector lies in their span; a
+    # genuine flat of this arrangement lists *every* such hyperplane, so a
+    # mismatch either way means the flat belongs to another lattice
+    own = flat._arr.hyperplanes
+    rows = echelon(own[i] for i in flat.hyperplanes)
     for i, cov in enumerate(arr.hyperplanes):
-        if i in flat.hyperplanes:
-            continue
-        if all(sum(Fraction(c) * x for c, x in zip(cov, row)) == 0
-               for row in flat.subspace.basis):
+        contains = reduce_covector(cov, rows) is None
+        if i in flat.hyperplanes and not contains:
+            raise FlatNotInLattice(
+                "hyperplane %d does not contain the flat" % i)
+        if contains and i not in flat.hyperplanes:
             raise FlatNotInLattice(
                 "hyperplane %d contains the flat but is not listed" % i)
     covs = [arr.hyperplanes[i] for i in sorted(flat.hyperplanes)]
@@ -217,9 +236,10 @@ def _inductive(arr, memo, bud, known_p=None):
                             witness={"reason": "rank<=2"})
         memo[key] = v
         return v
-    # The recursion hands each child its Poincare polynomial through the
-    # deletion-restriction identity p(A) = p(A') + t p(A''), so only the
-    # root and the (lower-dimensional) restrictions ever build a lattice.
+    # Each node owns its lattice: the root and every restriction build it
+    # here, and only when they get past the memo, budget and rank checks.
+    # A deletion gets its Poincare polynomial from the parent through the
+    # deletion-restriction identity p(A) = p(A') + t p(A'') instead.
     lat = build_lattice(arr) if known_p is None else None
     p = known_p if lat is None else poincare_polynomial(lat)
     rep = exponents_from_poincare(p)
@@ -241,13 +261,16 @@ def _inductive(arr, memo, bud, known_p=None):
     candidates.sort(key=lambda t: (-t[0], t[1]))
     budget_hit = False
     for _, h, rst in candidates:
-        p_rst = poincare_polynomial(build_lattice(essentialize(rst)))
-        v2, exp2 = _exponents_padded(rst, memo, bud, known_p=p_rst)
+        v2, exp2 = _exponents_padded(rst, memo, bud)
         if v2.status == "Unknown":
             budget_hit = True
             continue
         if exp2 is None:
             continue
+        # a free child's exponents factor its Poincare polynomial: a chain
+        # was checked against it (ExponentMismatch), and the rank <= 2 ones
+        # hold for every central arrangement
+        p_rst = IntPolynomial.from_factors([[1, e] for e in v2.exponents])
         dele = deletion(arr, h)
         p_del = p - p_rst.shift(1)
         v1, exp1 = _exponents_padded(dele, memo, bud, known_p=p_del)

@@ -259,3 +259,25 @@ def test_deterministic_output(capsys, tmp_path):
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+def test_parse_zero_projected_covector_names_its_line():
+    with pytest.raises(ParseError) as exc:
+        parse_arrangement("dim 3\nproject-zero-sum blocks=3\nh 1 1 1\n")
+    assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("flags", [["--threads", "x"], ["--nosuch"]],
+                         ids=["non-integer", "unknown-flag"])
+def test_analyze_usage_errors_exit_1(capsys, tmp_path, flags):
+    # argparse's own exit code 2 would read as a failed mathematical audit
+    path = tmp_path / "b.arr"
+    path.write_text("dim 2\nh 1 0\nh 0 1\n")
+    code, out, err = run(capsys, ["analyze", str(path)] + flags)
+    assert code == 1 and out == ""
+    assert err.startswith("usage: cmarr") and "error: " in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run(capsys, ["analyze", "--help"])
+    assert code == 0 and out.startswith("usage: cmarr analyze")

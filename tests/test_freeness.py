@@ -1,9 +1,14 @@
+import json
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cmarr.freeness as free_mod
-from cmarr.errors import (ExponentMismatch, FlatNotInLattice,
-                          IndexOutOfRange, InexactDivision,
+from cmarr.errors import (DimensionMismatch, ExponentMismatch,
+                          FlatNotInLattice, IndexOutOfRange, InexactDivision,
                           MalformedPolynomial)
+from cmarr.exactlin import common_kernel, restrict_covectors_to
 from cmarr.freeness import (ExponentReport, _divide_linear, deletion,
                             exponents_from_poincare, inductive_freeness,
                             localization, nonfree_by_localization,
@@ -11,7 +16,7 @@ from cmarr.freeness import (ExponentReport, _divide_linear, deletion,
 from cmarr.generators import (gen_G8, gen_coxeter_namikawa,
                               gen_dihedral_even, gen_wreath)
 from cmarr.intpoly import IntPolynomial
-from cmarr.lattice import (Arrangement, build_lattice, essentialize,
+from cmarr.lattice import (Arrangement, Flat, build_lattice, essentialize,
                            localization_poincare, poincare_polynomial)
 
 CONCURRENT3 = Arrangement(2, [(1, 0), (0, 1), (1, 1)])
@@ -217,3 +222,93 @@ def test_witness_chain_bookkeeping():
         assert sorted(step["restriction_exponents"]
                       + [sum(exps) - sum(step["restriction_exponents"])]) \
             == sorted(exps)
+
+
+# ---------------------------------------------------------------------------
+# restriction against the Fraction kernel route
+
+
+def _reference_restriction(arr, h):
+    """(dim, covectors) of A'' over the canonical basis of ker(a_h), from
+    the Fraction kernel and restrict_covectors_to."""
+    sub = common_kernel([arr.hyperplanes[h]], dim=arr.dim)
+    others = [c for i, c in enumerate(arr.hyperplanes) if i != h]
+    return sub.dim, restrict_covectors_to(sub, others)
+
+
+def _assert_restriction_matches(arr, h):
+    rst = restriction(arr, h)
+    assert (rst.dim, rst.hyperplanes) == _reference_restriction(arr, h)
+    assert all(type(x) is int for c in rst.hyperplanes for x in c)
+
+
+@pytest.mark.parametrize("arr", [gen_G8(), gen_wreath("A3", 4, 2)],
+                         ids=["G8", "wreath-A3-2"])
+def test_restriction_matches_kernel_reference(arr):
+    for h in range(len(arr)):
+        _assert_restriction_matches(arr, h)
+
+
+@st.composite
+def arrangement_and_index(draw):
+    """An integer arrangement in Q^d, 2 <= d <= 5, and one of its indices.
+    Zeros are frequent, so the last nonzero column of the restricting
+    covector varies; some entries reach 10**9."""
+    d = draw(st.integers(2, 5))
+    entry = st.one_of(st.just(0), st.integers(-3, 3),
+                      st.integers(-10 ** 9, 10 ** 9))
+    vec = st.lists(entry, min_size=d, max_size=d).filter(any)
+    arr = Arrangement(d, draw(st.lists(vec, min_size=1, max_size=8)))
+    return arr, draw(st.integers(0, len(arr) - 1))
+
+
+@settings(deadline=None, max_examples=150)
+@given(arrangement_and_index())
+def test_restriction_matches_kernel_reference_random(case):
+    _assert_restriction_matches(*case)
+
+
+def test_restriction_of_a_line_is_rejected():
+    with pytest.raises(DimensionMismatch):
+        restriction(Arrangement(1, [(1,)]), 0)
+
+
+# ---------------------------------------------------------------------------
+# verdicts pinned in full, search order included
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "freeness_golden.json"
+G8_ORDER = [18, 8, 5, 22, 3, 19, 17, 9, 14, 13, 23, 16, 0, 10, 15, 20, 24,
+            21, 2, 1, 6, 4, 12, 11, 7]
+WREATH_ORDER = [15, 10, 13, 6, 16, 5, 18, 9, 8, 14, 2, 1, 0, 17, 3, 4, 12,
+                11, 7]
+
+
+def _golden_case(name):
+    if name == "G8-shuffled":
+        g8 = gen_G8()
+        return Arrangement(3, [g8.hyperplanes[i] for i in G8_ORDER])
+    w = gen_wreath("A3", 4, 2)
+    if name == "wreath-A3-2-shuffled":
+        return Arrangement(4, [w.hyperplanes[i] for i in WREATH_ORDER])
+    return Arrangement(4, [c for i, c in enumerate(w.hyperplanes)
+                           if i not in (1, 7)])
+
+
+@pytest.mark.parametrize("name", ["G8-shuffled", "wreath-A3-2-shuffled",
+                                  "wreath-A3-2-minus-1-7"])
+def test_verdict_golden(name):
+    golden = json.loads(GOLDEN.read_text())[name]
+    verdict = inductive_freeness(_golden_case(name))
+    assert json.loads(json.dumps(verdict.to_dict())) == golden
+
+
+@pytest.mark.parametrize("flat, message", [
+    # lists two of the three lines through the origin
+    (Flat(CONCURRENT3, 0b011, 2), "not listed"),
+    # the line y = 0 of another arrangement, listed as hyperplane 0 (x = 0)
+    (Flat(Arrangement(2, [(0, 1)]), 0b1, 1), "does not contain"),
+    (Flat(CONCURRENT3, 0b1000, 1), "out of range"),
+], ids=["unlisted", "not-contained", "out-of-range"])
+def test_localization_rejects_wrong_hyperplane_sets(flat, message):
+    with pytest.raises(FlatNotInLattice, match=message):
+        localization(CONCURRENT3, flat)
