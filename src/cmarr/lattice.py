@@ -357,38 +357,48 @@ def admissible_primes(arr, count):
 def complement_count(arr, q):
     """Number of points of F_q^dim lying on none of the hyperplanes.
 
-    Iterates over the fibers of the last coordinate: for each prefix in
-    F_q^{dim-1}, collect the forbidden last-coordinate values.
+    A central arrangement's complement misses 0 and is stable under
+    scaling by F_q^*, so the count is (q - 1) times the number of
+    complement points whose first nonzero coordinate is 1.  Those are the
+    fibers of the last coordinate over the prefixes (0,)*lead + (1,) + rest
+    in F_q^{dim-1}, lead < dim - 1, each contributing q minus its forbidden
+    last-coordinate values, plus the single point e_dim.
     """
     d = arr.dim
     if d == 0:
         return 1
     covs = [tuple(x % q for x in c) for c in arr.hyperplanes]
+    if not covs:
+        return q ** d
     if d == 1:
-        return q - (1 if covs else 0)
-    pre = []
-    for c in covs:
-        head = [(i, c[i]) for i in range(d - 1) if c[i]]
-        last = c[d - 1]
-        inv = pow(last, -1, q) if last else None
-        pre.append((head, last, inv))
-    total = 0
-    for point in itertools.product(range(q), repeat=d - 1):
-        forbidden = set()
-        alive = True
-        for head, last, inv in pre:
-            s = 0
-            for i, ci in head:
-                s += ci * point[i]
-            s %= q
-            if last:
-                forbidden.add((-s * inv) % q)
-            elif s == 0:
-                alive = False
-                break
-        if alive:
-            total += q - len(forbidden)
-    return total
+        return q - 1
+    # e_dim lies on a hyperplane iff its last coefficient vanishes mod q
+    total = 1 if all(c[d - 1] for c in covs) else 0
+    for lead in range(d - 1):
+        # point = (0,)*lead + (1,) + rest + (x,): the covector's value is
+        # c[lead] + sum c[lead+1+i]*rest[i] + c[d-1]*x
+        pre = []
+        for c in covs:
+            head = [(i, c[lead + 1 + i]) for i in range(d - 2 - lead)
+                    if c[lead + 1 + i]]
+            last = c[d - 1]
+            inv = pow(last, -1, q) if last else None
+            pre.append((c[lead], head, last, inv))
+        for rest in itertools.product(range(q), repeat=d - 2 - lead):
+            forbidden = set()
+            alive = True
+            for s, head, last, inv in pre:
+                for i, ci in head:
+                    s += ci * rest[i]
+                s %= q
+                if last:
+                    forbidden.add((-s * inv) % q)
+                elif s == 0:
+                    alive = False
+                    break
+            if alive:
+                total += q - len(forbidden)
+    return (q - 1) * total
 
 
 def char_poly_finite_field(arr, primes):

@@ -105,40 +105,55 @@ def nbc_basis(arr, order=None):
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of 0..%d" % (n - 1))
     covs = arr.hyperplanes
+    rank = arr.rank
     bcs = broken_circuits(circuits(arr), order)
     pos = {h: i for i, h in enumerate(order)}
-    # broken circuits indexed by their order-largest element: a violation can
-    # only appear when that element is added
-    bc_by_top = {}
+    # broken circuits indexed by their order-largest element, the rest kept
+    # as a bitmask: a violation can only appear when that element is added,
+    # and then exactly when some submask of the current set's mask is the
+    # rest of a broken circuit with that top
+    rest_by_top = {}
     for bc in bcs:
         top = max(bc, key=lambda h: pos[h])
-        bc_by_top.setdefault(top, []).append(bc)
-    sets_by_size = [[] for _ in range(arr.rank + 1)]
+        rest = 0
+        for h in bc:
+            if h != top:
+                rest |= 1 << h
+        rest_by_top.setdefault(top, set()).add(rest)
+    sets_by_size = [[] for _ in range(rank + 1)]
 
-    def dfs(start_pos, current, basis_rows):
+    def dfs(start_pos, current, mask, basis_rows):
         sets_by_size[len(current)].append(tuple(sorted(current)))
+        if len(current) == rank:
+            return  # every further hyperplane is dependent
         for p in range(start_pos, n):
             h = order[p]
-            cur_set = set(current)
-            cur_set.add(h)
-            violated = False
-            for bc in bc_by_top.get(h, ()):
-                if bc <= cur_set:
-                    violated = True
-                    break
-            if violated:
-                continue
+            rests = rest_by_top.get(h)
+            if rests and _some_submask_in(mask, rests):
+                continue  # contains a broken circuit
             res = reduce_covector(covs[h], basis_rows)
             if res is None:
                 continue  # dependent; supersets stay dependent
             current.append(h)
-            dfs(p + 1, current, echelon_insert(basis_rows, res))
+            dfs(p + 1, current, mask | (1 << h),
+                echelon_insert(basis_rows, res))
             current.pop()
 
-    dfs(0, [], ())
+    dfs(0, [], 0, ())
     for bucket in sets_by_size:
         bucket.sort()
     return NbcBasis(order, sets_by_size)
+
+
+def _some_submask_in(mask, masks):
+    """Whether some submask of `mask`, the empty one included, is in the
+    set `masks`; walks the submasks from `mask` down to 0."""
+    sub = mask
+    while sub not in masks:
+        if not sub:
+            return False
+        sub = (sub - 1) & mask
+    return True
 
 
 def os_dimension(arr):

@@ -1,5 +1,6 @@
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -236,6 +237,32 @@ def test_analyze_ff_threads_agree(capsys, tmp_path):
         outputs.append(out)
     assert outputs[0] == outputs[1]
     assert "ff-agrees: true" in outputs[0]
+
+
+# gen arguments and --ff-primes (dim + 2) of each stored cross-check report
+CROSSCHECK_GOLDEN = {
+    "G8": (["g8"], "5"),
+    "coxeter-S3xS4": (["coxeter", "--weyl", "S3xS4"], "7"),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(CROSSCHECK_GOLDEN))
+def test_analyze_crosscheck_golden(capsys, tmp_path, name, threads):
+    """The full JSON report of a cross-check run (nbc sets, dim + 2
+    finite-field primes, stability, orbits) is byte-identical to the one
+    stored in tests/data, with and without the thread pool."""
+    gen_args, primes = CROSSCHECK_GOLDEN[name]
+    _, out, _ = run(capsys, ["gen"] + gen_args)
+    path = tmp_path / "a.arr"
+    path.write_text(out)
+    code, out, err = run(capsys, [
+        "analyze", str(path), "--os", "--ff-primes", primes, "--stability",
+        "--orbits", "--threads", threads, "--json"])
+    assert code == 0 and err == ""
+    golden = (Path(__file__).resolve().parent / "data"
+              / ("crosscheck_%s.json" % name)).read_text()
+    assert out == golden
 
 
 def test_audit_table_cli(capsys):

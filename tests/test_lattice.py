@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from cmarr.errors import BadPrime, InconsistentCounts, MobiusSignViolation
 from cmarr.exactlin import common_kernel, in_row_span, rref
-from cmarr.generators import gen_G4, gen_G8, gen_cyclic, gen_dihedral_even
+from cmarr.generators import (gen_G4, gen_G8, gen_cyclic, gen_dihedral_even,
+                              gen_wreath)
 from cmarr.intpoly import IntPolynomial
 from cmarr.lattice import (Arrangement, admissible_primes, bad_primes,
                            build_lattice, char_poly_finite_field,
@@ -85,6 +86,62 @@ def test_complement_count_concurrent_q5():
 
 def test_complement_count_boolean_q7():
     assert complement_count(BOOLEAN2, 7) == 36
+
+
+def _brute_force_count(arr, q):
+    """Points of F_q^dim on none of the hyperplanes, by scanning all of
+    F_q^dim."""
+    return sum(
+        1 for x in itertools.product(range(q), repeat=arr.dim)
+        if all(sum(c * xi for c, xi in zip(cov, x)) % q
+               for cov in arr.hyperplanes))
+
+
+@st.composite
+def counting_cases(draw):
+    """An integer arrangement of dim 1-4 and a prime q; last coordinates
+    are often 0 or a multiple of q, so that e_dim may or may not lie on a
+    hyperplane and some fibers are cut by hyperplanes not involving the
+    last coordinate."""
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    d = draw(st.integers(1, 4))
+    last = st.one_of(st.just(0), st.integers(-2, 2).map(lambda k: k * q),
+                     st.integers(-3, 3))
+    vec = st.tuples(st.lists(st.integers(-3, 3), min_size=d - 1,
+                             max_size=d - 1), last).map(
+        lambda t: t[0] + [t[1]]).filter(any)
+    return Arrangement(d, draw(st.lists(vec, max_size=6))), q
+
+
+@settings(deadline=None, max_examples=150)
+@given(counting_cases())
+def test_complement_count_matches_brute_force(case):
+    arr, q = case
+    assert complement_count(arr, q) == _brute_force_count(arr, q)
+
+
+@pytest.mark.parametrize("arr,q,expected", [
+    # e_2 = (0, 1) is off both lines: 25 - (5 + 5 - 1)
+    (Arrangement(2, [(1, 1), (1, 2)]), 5, 16),
+    # e_3 lies on (1, 2, 5), whose last coefficient vanishes mod 5
+    (Arrangement(3, [(1, 2, 5), (0, 1, 1)]), 5, 80),
+    (Arrangement(3, []), 5, 125),
+    (Arrangement(0, []), 7, 1),
+    (Arrangement(1, [(3,)]), 7, 6),
+    (Arrangement(1, []), 7, 7),
+], ids=["e2-in-complement", "e3-on-hyperplane", "empty-dim3", "dim0",
+        "dim1", "empty-dim1"])
+def test_complement_count_explicit_cases(arr, q, expected):
+    assert _brute_force_count(arr, q) == expected
+    assert complement_count(arr, q) == expected
+
+
+@pytest.mark.parametrize("arr", [gen_G8(), gen_wreath("A3", 4, 2)],
+                         ids=["G8", "wreath-A3-2"])
+def test_complement_count_is_mobius_chi(arr):
+    chi = characteristic_polynomial(build_lattice(arr))
+    for q in admissible_primes(arr, arr.dim + 2):
+        assert complement_count(arr, q) == chi(q)
 
 
 def test_ff_g8_paper_primes():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
@@ -27,11 +28,18 @@ def test_circuits_dihedral_all_triples():
 
 def test_circuit_minimality(corpus):
     for arr in corpus:
+        ranks = {}  # index tuple -> rank; circuits share one-smaller subsets
+
+        def rank(idx):
+            if idx not in ranks:
+                ranks[idx] = rank_of([arr.hyperplanes[i] for i in idx])
+            return ranks[idx]
+
         for c in circuits(arr):
-            assert rank_of([arr.hyperplanes[i] for i in c]) == len(c) - 1
+            assert rank(c) == len(c) - 1
             for drop in c:
-                rest = [arr.hyperplanes[i] for i in c if i != drop]
-                assert rank_of(rest) == len(rest)
+                rest = tuple(i for i in c if i != drop)
+                assert rank(rest) == len(rest)
 
 
 def test_broken_circuits_drop_least():
@@ -120,3 +128,61 @@ def _brute_force_circuits(arr):
 @given(factored_arrangements())
 def test_circuits_match_brute_force(arr):
     assert list(circuits(arr).circuits) == _brute_force_circuits(arr)
+
+
+def _brute_force_nbc(arr, order):
+    """Every index set of at most rank elements that is independent and
+    has no subset among the broken circuits, by scanning, grouped by size;
+    larger sets are dependent."""
+    bcs = set(broken_circuits(circuits(arr), order))
+    covs = arr.hyperplanes
+    out = []
+    for k in range(arr.rank + 1):
+        out.append(tuple(
+            s for s in itertools.combinations(range(len(covs)), k)
+            if rank_of([covs[i] for i in s]) == k
+            and not any(frozenset(t) in bcs
+                        for j in range(1, k + 1)
+                        for t in itertools.combinations(s, j))))
+    return tuple(out)
+
+
+def _orders(n, rng):
+    """The natural order and two random ones."""
+    orders = [tuple(range(n))]
+    for _ in range(2):
+        order = list(range(n))
+        rng.shuffle(order)
+        orders.append(tuple(order))
+    return orders
+
+
+@st.composite
+def nbc_cases(draw):
+    """A factored arrangement, sometimes with a scaled copy of one of its
+    covectors added (not deduplicated, so a circuit of size 2 and a broken
+    circuit of size 1 occur), and a random seed for the orders."""
+    arr = draw(factored_arrangements())
+    if draw(st.booleans()):
+        covs = arr.hyperplanes
+        c = covs[draw(st.integers(0, len(covs) - 1))]
+        f = draw(st.sampled_from([2, -3]))
+        arr = SimpleNamespace(dim=arr.dim, rank=arr.rank,
+                              hyperplanes=covs + (tuple(f * x for x in c),))
+    return arr, draw(st.integers(0, 2 ** 32))
+
+
+@settings(deadline=None, max_examples=80)
+@given(nbc_cases())
+def test_nbc_basis_matches_definition(case):
+    arr, seed = case
+    for order in _orders(len(arr.hyperplanes), random.Random(seed)):
+        assert nbc_basis(arr, order).sets_by_size == \
+            _brute_force_nbc(arr, order)
+
+
+def test_nbc_basis_matches_definition_g8():
+    arr = gen_G8()
+    for order in _orders(len(arr.hyperplanes), random.Random(8)):
+        assert nbc_basis(arr, order).sets_by_size == \
+            _brute_force_nbc(arr, order)
