@@ -20,8 +20,7 @@ from .generators import (default_group_order, gen_G4, gen_G8,
 from .intpoly import IntPolynomial
 from .lattice import (admissible_primes, build_lattice,
                       characteristic_polynomial, complement_count,
-                      char_poly_finite_field, poincare_polynomial,
-                      whitney_numbers)
+                      char_poly_finite_field, poincare_polynomial)
 from .osalg import nbc_basis
 from .symmetry import (audit_table1, contains_subarrangement,
                        hyperplane_orbits, is_stable, terminalization_count)
@@ -106,7 +105,7 @@ def run_analyze(arr, args):
         report["poincare"] = {
             "coeffs": list(p.coeffs),
             "text": p.format(),
-            "whitney": list(whitney_numbers(lattice())),
+            "whitney": list(p.coeffs),
             "exponents": list(rep.exponents) if rep.factors_integrally
                          else None,
         }
@@ -120,7 +119,8 @@ def run_analyze(arr, args):
             report["os"]["basis"] = [
                 [list(s) for s in bucket] for bucket in basis.sets_by_size]
     if args.free:
-        verdict = inductive_freeness(arr, budget=args.budget)
+        verdict = inductive_freeness(arr, budget=args.budget,
+                                     lattice=lattice())
         report["freeness"] = verdict.to_dict()
         if args.strict and verdict.status == "Unknown":
             raise _StrictUnknown()

@@ -34,7 +34,7 @@ class IndexOutOfRange(CmarrError, IndexError):
 
 
 class FlatNotInLattice(CmarrError):
-    """Flat does not belong to the arrangement's intersection lattice."""
+    """A flat or lattice does not belong to the arrangement at hand."""
 
 
 class MobiusSignViolation(CmarrError):

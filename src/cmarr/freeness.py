@@ -7,7 +7,7 @@ or for one of its localizations; InductivelyFree certificates are removal
 chains for the addition-deletion triple.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -186,7 +186,7 @@ class _Budget:
         return True
 
 
-def inductive_freeness(arr, budget=DEFAULT_BUDGET):
+def inductive_freeness(arr, budget=DEFAULT_BUDGET, lattice=None):
     """Decide inductive freeness by the addition-deletion recursion.
 
     The triple (A, A' = deletion, A'' = restriction) certifies A when both
@@ -195,14 +195,17 @@ def inductive_freeness(arr, budget=DEFAULT_BUDGET):
     include a 0 for each dimension the sub-arrangement fails to be
     essential.  Candidate hyperplanes are filtered through the exponents of
     the Poincare factorization (|A| - |A''| must itself be an exponent) and
-    tried with the largest restriction first.
+    tried with the largest restriction first.  A `lattice` handed in must
+    be L(arr); the root node then uses it instead of building its own.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
+    if lattice is not None and lattice.arrangement is not arr:
+        raise FlatNotInLattice("lattice was built from another arrangement")
     memo = {}
     bud = _Budget(budget)
     ess = essentialize(arr)
-    verdict = _inductive(ess, memo, bud)
+    verdict = _inductive(ess, memo, bud, lat=lattice)
     verdict.nodes_used = bud.used
     return verdict
 
@@ -218,7 +221,7 @@ def _exponents_padded(arr, memo, bud, known_p=None):
     return v, padded
 
 
-def _inductive(arr, memo, bud, known_p=None):
+def _inductive(arr, memo, bud, known_p=None, lat=None):
     key = arr.canonical_key()
     if key in memo:
         return memo[key]
@@ -236,18 +239,16 @@ def _inductive(arr, memo, bud, known_p=None):
                             witness={"reason": "rank<=2"})
         memo[key] = v
         return v
-    # Each node owns its lattice: the root and every restriction build it
-    # here, and only when they get past the memo, budget and rank checks.
+    # Each node owns its lattice: the root (unless handed one) and every
+    # restriction build it here, once past the memo, budget and rank checks.
     # A deletion gets its Poincare polynomial from the parent through the
     # deletion-restriction identity p(A) = p(A') + t p(A'') instead.
-    lat = build_lattice(arr) if known_p is None else None
+    if lat is None and known_p is None:
+        lat = build_lattice(arr)
     p = known_p if lat is None else poincare_polynomial(lat)
     rep = exponents_from_poincare(p)
     if not rep.factors_integrally:
-        v = FreenessVerdict("NotFree",
-                            witness={"reason": "poincare_residual",
-                                     "poincare": list(p.coeffs),
-                                     "residual": list(rep.residual.coeffs)})
+        v = FreenessVerdict("NotFree", witness=_residual_witness(p, rep))
         memo[key] = v
         return v
     target_exps = rep.exponents
@@ -298,11 +299,13 @@ def _inductive(arr, memo, bud, known_p=None):
         return v
     # the search failed: look for a cheap non-freeness certificate among
     # proper localizations of rank >= 3 before giving up
-    nf = _localization_residual(
-        arr, build_lattice(arr) if lat is None else lat)
-    if nf is not None:
-        memo[key] = nf
-        return nf
+    found = _nonfree_localization(lat or build_lattice(arr), proper=True)
+    if found is not None:
+        flat, inner = found
+        v = FreenessVerdict("NotFree", witness=dict(
+            inner, reason="nonfree_localization", flat_hyperplanes=flat))
+        memo[key] = v
+        return v
     reason = "budget" if budget_hit else "no_chain"
     v = FreenessVerdict("Unknown", witness={"reason": reason})
     if not budget_hit:
@@ -310,20 +313,24 @@ def _inductive(arr, memo, bud, known_p=None):
     return v
 
 
-def _localization_residual(arr, lat):
-    n = len(arr.hyperplanes)
+def _residual_witness(p, rep):
+    return {"reason": "poincare_residual", "poincare": list(p.coeffs),
+            "residual": list(rep.residual.coeffs)}
+
+
+def _nonfree_localization(lat, proper):
+    """(sorted hyperplanes of X, residual witness of pi(A_X)) for the first
+    flat X of rank >= 3 in lat.flats order whose localization's Poincare
+    polynomial does not factor, or None.  `proper` skips the flat on every
+    hyperplane; rank <= 2 localizations are always free."""
+    n = len(lat.arrangement.hyperplanes)
     for f in lat.flats:
-        if f.rank < 3 or len(f.hyperplanes) == n:
+        if f.rank < 3 or proper and len(f.hyperplanes) == n:
             continue
         p = localization_poincare(lat, f)
         rep = exponents_from_poincare(p)
         if not rep.factors_integrally:
-            return FreenessVerdict(
-                "NotFree",
-                witness={"reason": "nonfree_localization",
-                         "flat_hyperplanes": sorted(f.hyperplanes),
-                         "poincare": list(p.coeffs),
-                         "residual": list(rep.residual.coeffs)})
+            return sorted(f.hyperplanes), _residual_witness(p, rep)
     return None
 
 
@@ -337,25 +344,17 @@ def _submultiset(a, b):
     return True
 
 
-def nonfree_by_localization(arr, budget_per_flat=10 ** 4):
+def nonfree_by_localization(arr):
     """Scan flats by increasing rank for a localization certified NotFree.
 
-    Returns a NotFree FreenessVerdict naming the first such flat, or None
-    (no certificate).  Rank <= 2 localizations are skipped: they are always
-    free.
+    Returns a NotFree verdict naming the first flat X, in (rank, sorted
+    hyperplanes) order, whose pi(A_X) does not factor, else None.  A search
+    on A_X could only find NotFree through such a flat at or below X.
     """
-    lat = build_lattice(arr)
-    flats = sorted(lat.flats, key=lambda f: (f.rank,
-                                             tuple(sorted(f.hyperplanes))))
-    for f in flats:
-        if f.rank < 3:
-            continue
-        loc = essentialize(localization(arr, f))
-        v = inductive_freeness(loc, budget=budget_per_flat)
-        if v.status == "NotFree":
-            return FreenessVerdict(
-                "NotFree",
-                witness={"reason": "nonfree_localization",
-                         "flat_hyperplanes": sorted(f.hyperplanes),
-                         "inner": v.witness})
-    return None
+    found = _nonfree_localization(build_lattice(arr), proper=False)
+    if found is None:
+        return None
+    flat, inner = found
+    return FreenessVerdict("NotFree", witness={
+        "reason": "nonfree_localization", "flat_hyperplanes": flat,
+        "inner": inner})

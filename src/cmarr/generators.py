@@ -6,7 +6,6 @@ is parametrized by dropping the index-0 coordinate, so it contributes m-1
 essential coordinates (kappa_{b,0} = -sum_{i>=1} kappa_{b,i}).
 """
 
-import itertools
 import json
 import re
 from dataclasses import dataclass

@@ -105,10 +105,6 @@ class IntPolynomial:
             acc = acc * cls(coeffs)
         return acc
 
-    @classmethod
-    def one(cls):
-        return cls([1])
-
 
 def _coerce(x):
     if isinstance(x, IntPolynomial):

@@ -5,7 +5,6 @@ polynomial, cross-validated against the Mobius-sum definition.
 """
 
 import itertools
-from fractions import Fraction
 from math import gcd
 
 from .errors import (BadPrime, DimensionMismatch, InconsistentCounts,
@@ -151,12 +150,16 @@ def build_lattice(arr):
     only multiplies by nonzero scalars and subtracts span elements, so
     membership in a span is decided exactly, with no modulus or prime.
 
+    Each parent-child pair is a cover X < Y, so Weisner's theorem (Stanley,
+    EC I, 3.9) gives mu(Y) = -sum of mu(X) over the covers X of Y that miss
+    a, the lowest hyperplane of Y; a wrong sign raises MobiusSignViolation.
     Within a level flats are ordered by their sorted hyperplane indices.
     """
     covs = arr.hyperplanes
     n = len(covs)
     levels = [[0]]
     level = {0: ()}
+    mobius = {0: 1}
     while True:
         next_level = {}
         for x, rows in level.items():
@@ -172,13 +175,17 @@ def build_lattice(arr):
             for res, y in children.items():
                 if y not in next_level:
                     next_level[y] = echelon_insert(rows, res)
+                if not x & y & -y:
+                    mobius[y] = mobius.get(y, 0) - mobius[x]
         if not next_level:
             break
+        r = len(levels)
+        if any(mobius.get(y, 0) * (-1) ** r <= 0 for y in next_level):
+            raise MobiusSignViolation("Mobius sign violation at rank %d" % r)
         levels.append(sorted(next_level, key=_bits))
         level = next_level
-    mobius = mobius_by_rank(levels)
-    by_rank = [[Flat(arr, x, r, mu) for x, mu in zip(masks, mus)]
-               for r, (masks, mus) in enumerate(zip(levels, mobius))]
+    by_rank = [[Flat(arr, x, r, mobius[x]) for x in masks]
+               for r, masks in enumerate(levels)]
     flats = [f for lvl in by_rank for f in lvl]
     return IntersectionLattice(arr, flats, by_rank)
 

@@ -6,7 +6,6 @@ on the essential coordinates (index-0 coordinate of each block eliminated)
 is applied to covectors.
 """
 
-import itertools
 from dataclasses import dataclass
 from math import factorial
 

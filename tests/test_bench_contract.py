@@ -1,24 +1,45 @@
-"""The benchmark's span tracer wraps cmarr attributes by name.
+"""The benchmark reads cmarr by name: these checks keep cmarr edits from
+breaking it unnoticed.
 
 bench/trace_job.py replaces each (module, attribute) of its WRAPS table on
 the cmarr module with a traced wrapper; a name that no longer resolves makes
-every traced job fail.  This keeps renames and deletions in cmarr from
-breaking `bench/run.py --trace 1` unnoticed.
+every traced job of `bench/run.py --trace 1` fail.  bench/workloads.py
+passes each job's flags to `cmarr analyze`; a flag the parser no longer
+accepts turns the job into a usage error.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACE_JOB = Path(__file__).resolve().parent.parent / "bench" / "trace_job.py"
+from cmarr.cli import build_parser
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACE_JOB = BENCH / "trace_job.py"
+
+
+def _load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_trace_wraps_resolve_on_cmarr():
-    spec = importlib.util.spec_from_file_location("trace_job", TRACE_JOB)
-    trace_job = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(trace_job)
+    trace_job = _load(TRACE_JOB)
     assert trace_job.WRAPS
     missing = [(mod, attr) for mod, attr, _ in trace_job.WRAPS
                if not callable(getattr(importlib.import_module("cmarr." + mod),
                                        attr, None))]
     assert missing == []
+
+
+def test_workload_flags_parse():
+    """Every benchmark job's flags are accepted by `cmarr analyze`, so a CLI
+    edit cannot silently turn a benchmark job into a usage error."""
+    workloads = _load(BENCH / "workloads.py").WORKLOADS
+    assert workloads
+    for jobs in workloads.values():
+        for job_id, _, _, flags in jobs:
+            args = build_parser().parse_args(["analyze", "x.arr", *flags])
+            assert args.command == "analyze", job_id

@@ -225,6 +225,28 @@ def test_library_errors_map_to_exit_codes(capsys, tmp_path, monkeypatch,
     assert err.startswith("error: ") and "injected" in err
 
 
+def test_analyze_poincare_free_builds_root_lattice_once(capsys, tmp_path,
+                                                       monkeypatch):
+    import cmarr.freeness as free_mod
+    real = cli_mod.build_lattice
+    n = len(gen_G8())
+    root_builds = []  # restrictions, the only other builds, are smaller
+
+    def counting(arr):
+        if len(arr) == n:
+            root_builds.append(arr)
+        return real(arr)
+
+    monkeypatch.setattr(cli_mod, "build_lattice", counting)
+    monkeypatch.setattr(free_mod, "build_lattice", counting)
+    path = tmp_path / "g8.arr"
+    path.write_text(emit_arrangement(gen_G8()))
+    code, out, _ = run(capsys, ["analyze", str(path), "--poincare", "--free"])
+    assert code == 0
+    assert "freeness: InductivelyFree" in out
+    assert len(root_builds) == 1
+
+
 def test_analyze_ff_threads_agree(capsys, tmp_path):
     path = tmp_path / "g4.arr"
     _, out, _ = run(capsys, ["gen", "g4"])

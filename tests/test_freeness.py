@@ -9,10 +9,10 @@ from cmarr.errors import (DimensionMismatch, ExponentMismatch,
                           FlatNotInLattice, IndexOutOfRange, InexactDivision,
                           MalformedPolynomial)
 from cmarr.exactlin import common_kernel, restrict_covectors_to
-from cmarr.freeness import (ExponentReport, _divide_linear, deletion,
-                            exponents_from_poincare, inductive_freeness,
-                            localization, nonfree_by_localization,
-                            restriction)
+from cmarr.freeness import (ExponentReport, FreenessVerdict, _divide_linear,
+                            deletion, exponents_from_poincare,
+                            inductive_freeness, localization,
+                            nonfree_by_localization, restriction)
 from cmarr.generators import (gen_G8, gen_coxeter_namikawa,
                               gen_dihedral_even, gen_wreath)
 from cmarr.intpoly import IntPolynomial
@@ -213,6 +213,65 @@ def test_nonfree_by_localization_synthetic():
     assert sorted(v.witness["flat_hyperplanes"]) == list(range(6))
 
 
+def _reference_nonfree_by_localization(arr, budget_per_flat=10 ** 4):
+    """The rebuild-and-search scan: essentialize the localization at each
+    flat of rank >= 3, by increasing (rank, sorted hyperplanes), and run a
+    full freeness search on it."""
+    lat = build_lattice(arr)
+    flats = sorted(lat.flats, key=lambda f: (f.rank,
+                                             tuple(sorted(f.hyperplanes))))
+    for f in flats:
+        if f.rank < 3:
+            continue
+        loc = essentialize(localization(arr, f))
+        v = inductive_freeness(loc, budget=budget_per_flat)
+        if v.status == "NotFree":
+            return FreenessVerdict(
+                "NotFree",
+                witness={"reason": "nonfree_localization",
+                         "flat_hyperplanes": sorted(f.hyperplanes),
+                         "inner": v.witness})
+    return None
+
+
+def _assert_nonfree_matches_reference(arr):
+    got = nonfree_by_localization(arr)
+    want = _reference_nonfree_by_localization(arr)
+    assert (got and got.to_dict()) == (want and want.to_dict())
+
+
+def _minus(arr, deleted):
+    return Arrangement(arr.dim, [c for i, c in enumerate(arr.hyperplanes)
+                                 if i not in deleted])
+
+
+@pytest.mark.parametrize("base, deleted", [
+    ("G8", (0,)), ("G8", (2,)), ("G8", (0, 2)), ("G8", (2, 4)),
+    ("wreath-A3-2", (0,)), ("wreath-A3-2", (7,)), ("wreath-A3-2", (1, 7)),
+    ("wreath-A3-2", (0, 2))],
+    ids=lambda x: "-".join(map(str, x)) if isinstance(x, tuple) else x)
+def test_nonfree_by_localization_matches_search(base, deleted):
+    arr = gen_G8() if base == "G8" else gen_wreath("A3", 4, 2)
+    _assert_nonfree_matches_reference(_minus(arr, deleted))
+
+
+@st.composite
+def localization_cases(draw):
+    """Up to 8 integer covectors in Q^3 or Q^4 with small entries and
+    frequent zeros, so that flats of rank 3 often carry more than three
+    hyperplanes."""
+    d = draw(st.integers(3, 4))
+    entry = st.one_of(st.just(0), st.integers(-2, 2))
+    vec = st.lists(entry, min_size=d, max_size=d).filter(any)
+    return Arrangement(d, draw(st.lists(vec, max_size=8)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(localization_cases())
+def test_nonfree_by_localization_matches_search_random(arr):
+    _assert_nonfree_matches_reference(arr)
+
+
 def test_witness_chain_bookkeeping():
     v = inductive_freeness(gen_G8())
     chain = v.witness["chain"]
@@ -300,6 +359,39 @@ def test_verdict_golden(name):
     golden = json.loads(GOLDEN.read_text())[name]
     verdict = inductive_freeness(_golden_case(name))
     assert json.loads(json.dumps(verdict.to_dict())) == golden
+
+
+@pytest.mark.parametrize("name", ["G8-shuffled", "wreath-A3-2-shuffled",
+                                  "wreath-A3-2-minus-1-7"])
+def test_verdict_golden_with_lattice(name):
+    arr = _golden_case(name)
+    golden = json.loads(GOLDEN.read_text())[name]
+    verdict = inductive_freeness(arr, lattice=build_lattice(arr))
+    assert json.loads(json.dumps(verdict.to_dict())) == golden
+
+
+def test_inductive_freeness_rejects_foreign_lattice():
+    arr = gen_G8()
+    # equal hyperplanes, but another object: the lattice is not arr's
+    with pytest.raises(FlatNotInLattice, match="another arrangement"):
+        inductive_freeness(arr, lattice=build_lattice(gen_G8()))
+    with pytest.raises(FlatNotInLattice, match="another arrangement"):
+        inductive_freeness(arr, lattice=build_lattice(MOMENT6))
+
+
+def test_inductive_freeness_uses_the_lattice_handed_in(monkeypatch):
+    arr = gen_G8()
+    lat = build_lattice(arr)
+    built = []
+    real = free_mod.build_lattice
+
+    def counting(a):
+        built.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(free_mod, "build_lattice", counting)
+    assert inductive_freeness(arr, lattice=lat).status == "InductivelyFree"
+    assert len(arr) not in built
 
 
 @pytest.mark.parametrize("flat, message", [

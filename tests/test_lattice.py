@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from cmarr.errors import BadPrime, InconsistentCounts, MobiusSignViolation
 from cmarr.exactlin import common_kernel, in_row_span, rref
-from cmarr.generators import (gen_G4, gen_G8, gen_cyclic, gen_dihedral_even,
-                              gen_wreath)
+from cmarr.generators import (gen_G4, gen_G8, gen_coxeter_namikawa,
+                              gen_cyclic, gen_dihedral_even, gen_wreath)
 from cmarr.intpoly import IntPolynomial
 from cmarr.lattice import (Arrangement, admissible_primes, bad_primes,
                            build_lattice, char_poly_finite_field,
@@ -272,3 +272,36 @@ def test_lazy_subspace_is_common_kernel():
                             dim=arr.dim)
         assert f.subspace == sub
         assert f.subspace.dim == arr.dim - f.rank
+
+
+# ---------------------------------------------------------------------------
+# Mobius numbers from the build's covers against the O(F^2) reference
+
+
+def _assert_mobius_matches_reference(arr):
+    lat = build_lattice(arr)
+    levels = [[f.mask for f in level] for level in lat.by_rank]
+    assert [[f.mobius for f in level] for level in lat.by_rank] \
+        == mobius_by_rank(levels)
+
+
+def test_weisner_mobius_matches_reference(corpus):
+    for arr in corpus + [gen_coxeter_namikawa((6,)),
+                         gen_coxeter_namikawa((3, 4))]:
+        _assert_mobius_matches_reference(arr)
+
+
+@st.composite
+def integer_arrangements(draw):
+    """Up to 9 integer covectors in Q^d, 2 <= d <= 5, with frequent zeros
+    so that many flats have more hyperplanes than their rank."""
+    d = draw(st.integers(2, 5))
+    entry = st.one_of(st.just(0), st.integers(-3, 3))
+    vec = st.lists(entry, min_size=d, max_size=d).filter(any)
+    return Arrangement(d, draw(st.lists(vec, max_size=9)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(integer_arrangements())
+def test_weisner_mobius_matches_reference_random(arr):
+    _assert_mobius_matches_reference(arr)
