@@ -252,16 +252,23 @@ def _inductive(arr, memo, bud, known_p=None, lat=None):
         memo[key] = v
         return v
     target_exps = rep.exponents
-    # candidate removals: |A| - |A''| must be one of the exponents
-    candidates = []
-    for h in range(n):
-        rst = restriction(arr, h)
-        b = n - len(rst)
-        if b in target_exps:
-            candidates.append((len(rst), h, rst))
-    candidates.sort(key=lambda t: (-t[0], t[1]))
+    # candidate removals: |A| - |A''| must be one of the exponents.  With a
+    # lattice, |A''| for H is the number of rank-2 flats above H, and only
+    # the candidates tried are restricted; a deletion node restricts all.
+    if lat is None:
+        rsts = [restriction(arr, h) for h in range(n)]
+        sizes = [len(rst) for rst in rsts]
+    else:
+        rsts = None
+        sizes = [0] * n
+        for f in lat.by_rank[2]:
+            for h in f.hyperplanes:
+                sizes[h] += 1
+    candidates = sorted((-sizes[h], h) for h in range(n)
+                        if n - sizes[h] in target_exps)
     budget_hit = False
-    for _, h, rst in candidates:
+    for _, h in candidates:
+        rst = restriction(arr, h) if rsts is None else rsts[h]
         v2, exp2 = _exponents_padded(rst, memo, bud)
         if v2.status == "Unknown":
             budget_hit = True

@@ -130,6 +130,32 @@ class IntersectionLattice:
         self.bottom = by_rank[0][0]
 
 
+def flat_children(covs, x, rows):
+    """The flats covering flat x, as {residual: child mask}.
+
+    `rows` are integer echelon rows spanning x's covectors, and the rows of
+    a child are `echelon_insert(rows, residual)`.  Each hyperplane i outside
+    x is reduced once, to a primitive residual that is zero at every pivot
+    of `rows`; residuals are compared as tuples, and two hyperplanes give
+    the same residual exactly when they span the same child together with
+    x.  So the first hyperplane with a new residual starts a child, and
+    every later one with that residual is absorbed into it and starts none
+    (the skip rule).  The reduction stays in the integers and only
+    multiplies by nonzero scalars and subtracts span elements, so
+    membership in a span is decided exactly, with no modulus or prime.
+    """
+    children = {}
+    for i in range(len(covs)):
+        if x >> i & 1:
+            continue
+        res = reduce_covector(covs[i], rows)
+        if res in children:
+            children[res] |= 1 << i
+        else:
+            children[res] = x | 1 << i
+    return children
+
+
 def build_lattice(arr):
     """Rank-level closure of intersections, with Mobius numbers.
 
@@ -139,16 +165,8 @@ def build_lattice(arr):
     it.  While its level is built, a flat also carries its span as integer
     echelon rows (see `exactlin.reduce_covector`).
 
-    The children of a flat X are found from one reduction per hyperplane
-    outside X.  Hyperplane i reduces to a primitive residual that is zero at
-    every pivot of X's rows; residuals are compared as tuples, and two
-    hyperplanes give the same residual exactly when they span the same
-    child together with X.  So the first hyperplane with a new residual
-    starts a child, and every later one with that residual is absorbed into
-    it and starts none (the skip rule).  Children reached from several
-    parents are merged by mask.  The reduction stays in the integers and
-    only multiplies by nonzero scalars and subtracts span elements, so
-    membership in a span is decided exactly, with no modulus or prime.
+    The children of a flat come from `flat_children`; children reached from
+    several parents are merged by mask.
 
     Each parent-child pair is a cover X < Y, so Weisner's theorem (Stanley,
     EC I, 3.9) gives mu(Y) = -sum of mu(X) over the covers X of Y that miss
@@ -156,23 +174,13 @@ def build_lattice(arr):
     Within a level flats are ordered by their sorted hyperplane indices.
     """
     covs = arr.hyperplanes
-    n = len(covs)
     levels = [[0]]
     level = {0: ()}
     mobius = {0: 1}
     while True:
         next_level = {}
         for x, rows in level.items():
-            children = {}
-            for i in range(n):
-                if x >> i & 1:
-                    continue
-                res = reduce_covector(covs[i], rows)
-                if res in children:
-                    children[res] |= 1 << i
-                else:
-                    children[res] = x | 1 << i
-            for res, y in children.items():
+            for res, y in flat_children(covs, x, rows).items():
                 if y not in next_level:
                     next_level[y] = echelon_insert(rows, res)
                 if not x & y & -y:

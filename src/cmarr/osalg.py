@@ -7,6 +7,7 @@ the algebra itself is represented combinatorially through nbc sets.
 # rref is unused here but stays bound in this module: bench/trace_job.py
 # wraps it by name.
 from .exactlin import echelon_insert, reduce_covector, rref  # noqa: F401
+from .lattice import flat_children
 
 
 class CircuitSet:
@@ -42,41 +43,82 @@ class NbcBasis:
         return sum(self.sizes)
 
 
+class FlatJoins:
+    """Joins of flats with hyperplanes, computed once per flat on demand.
+
+    A flat is the int bitmask of the hyperplanes containing it, as in
+    `lattice.build_lattice`.  `of(x)` is the tuple whose entry h is
+    join(x, h), the least flat containing x and hyperplane h (x itself when
+    h is in x).  It runs one `lattice.flat_children` step on x's echelon
+    rows, which are kept only until then; `joins` holds every flat whose
+    joins are known.
+    """
+
+    __slots__ = ("covs", "joins", "_rows")
+
+    def __init__(self, covs):
+        self.covs = covs
+        self.joins = {}
+        self._rows = {0: ()}
+
+    def of(self, x):
+        jx = self.joins.get(x)
+        if jx is None:
+            rows = self._rows.pop(x)
+            jx = [x] * len(self.covs)
+            for res, y in flat_children(self.covs, x, rows).items():
+                if y not in self.joins and y not in self._rows:
+                    self._rows[y] = echelon_insert(rows, res)
+                new = y & ~x
+                while new:
+                    low = new & -new
+                    jx[low.bit_length() - 1] = y
+                    new ^= low
+            jx = self.joins[x] = tuple(jx)
+        return jx
+
+
 def circuits(arr):
     """Minimal dependent subsets, found by a DFS over independent subsets.
 
     No circuit exceeds rank+1 elements in a central arrangement.
     """
-    covs = arr.hyperplanes
-    n = len(covs)
-    width = arr.rank + 1
+    n = len(arr.hyperplanes)
+    joins = FlatJoins(arr.hyperplanes).of
+    everything = (1 << n) - 1
     found = []
-    # DFS over independent subsets in increasing index order.  At a node I,
-    # a later covector h lying in span(I) closes the unique circuit inside
-    # I + {h}; it equals I + {h} exactly when the representation of h over
-    # I uses every element, and every circuit is met exactly once this way
-    # (at I = circuit minus its largest element).  The element at depth k
-    # is augmented by the unit vector e_k in `width` extra columns, so the
-    # integer kernel's residual of h's augmented vector against the rows of
-    # I carries, after the covector part, the coefficients of h and of each
-    # element of I in the combination it eliminated.  The covector part is
-    # zero exactly when h lies in span(I), and then the nonzero depth
-    # coefficients name the circuit.
+    # DFS over independent subsets I in increasing index order.  A node
+    # keeps the closure x = cl(I) and the closures cl(I - s), s in I, as
+    # flat masks.  For a later h in x, I + h is dependent, and it is a
+    # circuit iff every I + h - s is independent, i.e. iff h lies in no
+    # cl(I - s); every circuit is met exactly once this way (at I = circuit
+    # minus its largest element).  A later h outside x extends I, and the
+    # child's closures are join(x, h) and join(cl(I - s), h) for each s,
+    # with cl(I) itself for s = h.
 
-    def dfs(current, rows, start):
-        depth = len(current)
-        unit = (0,) * depth + (1,) + (0,) * (width - depth - 1)
-        for h in range(start, n):
-            res = reduce_covector(covs[h] + unit, rows)
-            if not any(res[:arr.dim]):
-                if all(res[arr.dim:arr.dim + depth]):
-                    found.append(tuple(current) + (h,))
-                continue
+    def dfs(current, x, minus, start):
+        later = -1 << start
+        closed = x & later
+        for m in minus:
+            closed &= ~m
+        while closed:
+            low = closed & -closed
+            found.append(tuple(current) + (low.bit_length() - 1,))
+            closed ^= low
+        free = everything & ~x & later
+        if not free:
+            return
+        jx = joins(x)
+        jm = [joins(m) for m in minus]
+        while free:
+            low = free & -free
+            free ^= low
+            h = low.bit_length() - 1
             current.append(h)
-            dfs(current, echelon_insert(rows, res), h + 1)
+            dfs(current, jx[h], [j[h] for j in jm] + [x], h + 1)
             current.pop()
 
-    dfs([], (), 0)
+    dfs([], 0, [], 0)
     return CircuitSet(sorted(found))
 
 
@@ -106,20 +148,23 @@ def nbc_basis(arr, order=None):
         raise ValueError("order must be a permutation of 0..%d" % (n - 1))
     covs = arr.hyperplanes
     rank = arr.rank
-    bcs = broken_circuits(circuits(arr), order)
-    pos = {h: i for i, h in enumerate(order)}
-    # broken circuits indexed by their order-largest element, the rest kept
-    # as a bitmask: a violation can only appear when that element is added,
-    # and then exactly when some submask of the current set's mask is the
-    # rest of a broken circuit with that top
+    pos = [0] * n
+    for i, h in enumerate(order):
+        pos[h] = i
+    # broken circuits (a circuit minus its order-least element) indexed by
+    # their order-largest element, the rest kept as a bitmask: a violation
+    # can only appear when that element is added, and then exactly when
+    # some submask of the current set's mask is the rest of a broken
+    # circuit with that top
     rest_by_top = {}
-    for bc in bcs:
-        top = max(bc, key=lambda h: pos[h])
+    for c in circuits(arr):
+        least = min(c, key=pos.__getitem__)
+        top = max(c, key=pos.__getitem__)
         rest = 0
-        for h in bc:
-            if h != top:
-                rest |= 1 << h
-        rest_by_top.setdefault(top, set()).add(rest)
+        for h in c:
+            rest |= 1 << h
+        rest_by_top.setdefault(top, set()).add(
+            rest ^ (1 << least) ^ (1 << top))
     sets_by_size = [[] for _ in range(rank + 1)]
 
     def dfs(start_pos, current, mask, basis_rows):

@@ -12,7 +12,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import cmarr.osalg
 from cmarr.cli import build_parser
+from cmarr.generators import gen_G8
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACE_JOB = BENCH / "trace_job.py"
@@ -43,3 +45,20 @@ def test_workload_flags_parse():
         for job_id, _, _, flags in jobs:
             args = build_parser().parse_args(["analyze", "x.arr", *flags])
             assert args.command == "analyze", job_id
+
+
+def test_nbc_basis_calls_circuits_through_the_module(monkeypatch):
+    """The traced crosscheck counts `osalg.circuits` by wrapping the module
+    attribute, and requires `osalg.circuits_calls` > 0; so nbc_basis must
+    look circuits up through that attribute, not a bound reference."""
+    calls = []
+    real = cmarr.osalg.circuits
+
+    def counted(arr):
+        calls.append(arr)
+        return real(arr)
+
+    monkeypatch.setattr(cmarr.osalg, "circuits", counted)
+    arr = gen_G8()
+    assert cmarr.osalg.nbc_basis(arr).total == 336
+    assert calls == [arr]

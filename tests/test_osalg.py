@@ -1,12 +1,17 @@
+import hashlib
 import itertools
+import json
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmarr.lattice import Arrangement, build_lattice, whitney_numbers
-from cmarr.generators import gen_G4, gen_G8, gen_dihedral_even
-from cmarr.osalg import broken_circuits, circuits, nbc_basis, os_dimension
+from cmarr.generators import gen_G4, gen_G8, gen_dihedral_even, gen_wreath
+from cmarr.osalg import (FlatJoins, broken_circuits, circuits, nbc_basis,
+                         os_dimension)
 from cmarr.exactlin import rank_of
 
 BOOLEAN2 = Arrangement(2, [(1, 0), (0, 1)])
@@ -157,6 +162,14 @@ def _orders(n, rng):
     return orders
 
 
+def _with_parallel_copy(arr, i, f):
+    """arr plus f times its covector i, kept as a separate hyperplane (an
+    `Arrangement` would deduplicate it), so that {i, n} is a circuit."""
+    covs = arr.hyperplanes
+    return SimpleNamespace(dim=arr.dim, rank=arr.rank,
+                           hyperplanes=covs + (tuple(f * x for x in covs[i]),))
+
+
 @st.composite
 def nbc_cases(draw):
     """A factored arrangement, sometimes with a scaled copy of one of its
@@ -164,11 +177,9 @@ def nbc_cases(draw):
     circuit of size 1 occur), and a random seed for the orders."""
     arr = draw(factored_arrangements())
     if draw(st.booleans()):
-        covs = arr.hyperplanes
-        c = covs[draw(st.integers(0, len(covs) - 1))]
-        f = draw(st.sampled_from([2, -3]))
-        arr = SimpleNamespace(dim=arr.dim, rank=arr.rank,
-                              hyperplanes=covs + (tuple(f * x for x in c),))
+        arr = _with_parallel_copy(
+            arr, draw(st.integers(0, len(arr.hyperplanes) - 1)),
+            draw(st.sampled_from([2, -3])))
     return arr, draw(st.integers(0, 2 ** 32))
 
 
@@ -186,3 +197,71 @@ def test_nbc_basis_matches_definition_g8():
     for order in _orders(len(arr.hyperplanes), random.Random(8)):
         assert nbc_basis(arr, order).sets_by_size == \
             _brute_force_nbc(arr, order)
+
+
+def test_circuits_with_negated_copy():
+    arr = _with_parallel_copy(CONCURRENT3, 2, -1)
+    assert circuits(arr).circuits == ((0, 1, 2), (0, 1, 3), (2, 3))
+
+
+@settings(deadline=None, max_examples=60)
+@given(factored_arrangements(), st.data())
+def test_circuits_match_brute_force_with_parallel_copy(arr, data):
+    i = data.draw(st.integers(0, len(arr.hyperplanes) - 1))
+    arr = _with_parallel_copy(arr, i, data.draw(st.sampled_from([-1, 2, -3])))
+    found = list(circuits(arr).circuits)
+    assert (i, len(arr.hyperplanes) - 1) in found
+    assert found == _brute_force_circuits(arr)
+
+
+def _assert_joins_match_lattice(arr):
+    """Drive a FlatJoins memo from the bottom flat until every join is
+    known: the masks it creates are exactly the flats of build_lattice(arr),
+    and each join(x, h) is the least flat containing x and h, by a scan."""
+    flats = [f.mask for f in build_lattice(arr).flats]
+    memo = FlatJoins(arr.hyperplanes)
+    todo = [0]
+    while todo:
+        for y in memo.of(todo.pop()):
+            if y not in memo.joins and y not in todo:
+                todo.append(y)
+    assert sorted(memo.joins) == sorted(flats)
+    for x, jx in memo.joins.items():
+        assert len(jx) == len(arr.hyperplanes)
+        above_x = [f for f in flats if f & x == x]
+        for h, y in enumerate(jx):
+            s = x | 1 << h
+            above = [f for f in above_x if f & s == s]
+            least = min(above, key=int.bit_count)
+            assert all(f & least == least for f in above)
+            assert y == least
+
+
+def test_joins_match_lattice(corpus):
+    for arr in corpus:
+        _assert_joins_match_lattice(arr)
+
+
+@settings(deadline=None, max_examples=60)
+@given(nbc_cases())
+def test_joins_match_lattice_random(case):
+    _assert_joins_match_lattice(case[0])
+
+
+CIRCUITS_GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "data" / "circuits_golden.json")
+    .read_text())
+GOLDEN_BASES = {"G8": gen_G8, "wreath-A3-2": lambda: gen_wreath("A3", 4, 2),
+                "wreath-A3-3": lambda: gen_wreath("A3", 4, 3),
+                "wreath-A4-2": lambda: gen_wreath("A4", 5, 2)}
+
+
+@pytest.mark.parametrize("name", sorted(CIRCUITS_GOLDEN))
+def test_circuits_golden(name):
+    """Count and sha256 of the compact JSON of the sorted circuit list,
+    taken from the elimination-per-subset enumeration that preceded the
+    join search."""
+    found = circuits(GOLDEN_BASES[name]()).circuits
+    digest = hashlib.sha256(
+        json.dumps(found, separators=(",", ":")).encode()).hexdigest()
+    assert {"count": len(found), "sha256": digest} == CIRCUITS_GOLDEN[name]
