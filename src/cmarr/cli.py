@@ -16,7 +16,7 @@ from .freeness import (DEFAULT_BUDGET, exponents_from_poincare,
                        inductive_freeness)
 from .generators import (default_group_order, gen_G4, gen_G8,
                          gen_coxeter_namikawa, gen_cyclic, gen_dihedral_even,
-                         gen_wreath, table1_rows)
+                         gen_wreath)
 from .intpoly import IntPolynomial
 from .lattice import (admissible_primes, build_lattice,
                       characteristic_polynomial, complement_count,

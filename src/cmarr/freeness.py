@@ -18,7 +18,7 @@ from .errors import (DimensionMismatch, ExponentMismatch, FlatNotInLattice,
 from .exactlin import (common_kernel, echelon, reduce_covector,  # noqa: F401
                        restrict_covectors_to)
 from .intpoly import IntPolynomial
-from .lattice import (Arrangement, build_lattice, essentialize,
+from .lattice import (Arrangement, _bits, build_lattice, essentialize,
                       localization_poincare, poincare_polynomial)
 
 DEFAULT_BUDGET = 10 ** 6
@@ -210,18 +210,26 @@ def inductive_freeness(arr, budget=DEFAULT_BUDGET, lattice=None):
     return verdict
 
 
-def _exponents_padded(arr, memo, bud, known_p=None):
+def _exponents_padded(arr, memo, bud, known=None):
     """Verdict for a possibly non-essential arrangement, exponents padded
     with a 0 per missing rank so multisets compare in a fixed dimension."""
     ess = essentialize(arr)
-    v = _inductive(ess, memo, bud, known_p)
+    v = _inductive(ess, memo, bud, known)
     if v.status != "InductivelyFree":
         return v, None
     padded = tuple(sorted(v.exponents + (0,) * (arr.dim - arr.rank)))
     return v, padded
 
 
-def _inductive(arr, memo, bud, known_p=None, lat=None):
+def _deletion_lines(lines, h0):
+    """Rank-2 flat masks of A - h0 from those of A: bit h0 is removed, the
+    bits above it move down, and masks left with one hyperplane go."""
+    low = (1 << h0) - 1
+    shifted = ((m & low) | (m >> (h0 + 1) << h0) for m in lines)
+    return [m for m in shifted if m & (m - 1)]
+
+
+def _inductive(arr, memo, bud, known=None, lat=None):
     key = arr.canonical_key()
     if key in memo:
         return memo[key]
@@ -241,34 +249,30 @@ def _inductive(arr, memo, bud, known_p=None, lat=None):
         return v
     # Each node owns its lattice: the root (unless handed one) and every
     # restriction build it here, once past the memo, budget and rank checks.
-    # A deletion gets its Poincare polynomial from the parent through the
-    # deletion-restriction identity p(A) = p(A') + t p(A'') instead.
-    if lat is None and known_p is None:
-        lat = build_lattice(arr)
-    p = known_p if lat is None else poincare_polynomial(lat)
+    # A deletion gets (p, lines) from its parent instead: p(A') from the
+    # identity p(A) = p(A') + t p(A''), and its rank-2 flats as masks.
+    if known is None:
+        lat = lat or build_lattice(arr)
+        known = poincare_polynomial(lat), [f.mask for f in lat.by_rank[2]]
+    p, lines = known
     rep = exponents_from_poincare(p)
     if not rep.factors_integrally:
         v = FreenessVerdict("NotFree", witness=_residual_witness(p, rep))
         memo[key] = v
         return v
     target_exps = rep.exponents
-    # candidate removals: |A| - |A''| must be one of the exponents.  With a
-    # lattice, |A''| for H is the number of rank-2 flats above H, and only
-    # the candidates tried are restricted; a deletion node restricts all.
-    if lat is None:
-        rsts = [restriction(arr, h) for h in range(n)]
-        sizes = [len(rst) for rst in rsts]
-    else:
-        rsts = None
-        sizes = [0] * n
-        for f in lat.by_rank[2]:
-            for h in f.hyperplanes:
-                sizes[h] += 1
+    # candidate removals: |A| - |A''| must be one of the exponents, where
+    # |A''| for H is the number of rank-2 flats above H; only the candidates
+    # tried are restricted
+    sizes = [0] * n
+    for m in lines:
+        for h in _bits(m):
+            sizes[h] += 1
     candidates = sorted((-sizes[h], h) for h in range(n)
                         if n - sizes[h] in target_exps)
     budget_hit = False
     for _, h in candidates:
-        rst = restriction(arr, h) if rsts is None else rsts[h]
+        rst = restriction(arr, h)
         v2, exp2 = _exponents_padded(rst, memo, bud)
         if v2.status == "Unknown":
             budget_hit = True
@@ -279,9 +283,9 @@ def _inductive(arr, memo, bud, known_p=None, lat=None):
         # was checked against it (ExponentMismatch), and the rank <= 2 ones
         # hold for every central arrangement
         p_rst = IntPolynomial.from_factors([[1, e] for e in v2.exponents])
-        dele = deletion(arr, h)
         p_del = p - p_rst.shift(1)
-        v1, exp1 = _exponents_padded(dele, memo, bud, known_p=p_del)
+        v1, exp1 = _exponents_padded(deletion(arr, h), memo, bud,
+                                     known=(p_del, _deletion_lines(lines, h)))
         if v1.status == "Unknown":
             budget_hit = True
             continue

@@ -308,27 +308,27 @@ def bad_primes(arr):
 
     A prime q preserves every subset rank iff every Q-independent subset S
     of covectors stays independent mod q, i.e. q does not divide the gcd of
-    the maximal minors of S.  Returns the set of all primes dividing such a
-    gcd for some independent subset of size <= dim.  Point counts over any
-    prime outside this set follow the characteristic polynomial.
+    the maximal minors of S; bases suffice, since S extends to one.  Returns
+    the primes dividing such a gcd for some basis (none below rank 2, as
+    covectors are primitive).  Point counts over any prime outside this set
+    follow the characteristic polynomial.
     """
     covs = arr.hyperplanes
-    d = arr.dim
-    n = len(covs)
+    k = arr.rank
     bad = set()
-    max_k = min(d, n)
-    for k in range(2, max_k + 1):
-        for idx in itertools.combinations(range(n), k):
-            sub = [covs[i] for i in idx]
-            g = 0
-            for cols in itertools.combinations(range(d), k):
-                det = _int_det([[row[c] for c in cols] for row in sub])
-                g = gcd(g, abs(det))
-                if g == 1:
-                    break
-            if g > 1:
-                # subset independent over Q but all minors share a factor
-                bad |= _prime_factors(g)
+    if k < 2:
+        return bad
+    for idx in itertools.combinations(range(len(covs)), k):
+        sub = [covs[i] for i in idx]
+        g = 0
+        for cols in itertools.combinations(range(arr.dim), k):
+            det = _int_det([[row[c] for c in cols] for row in sub])
+            g = gcd(g, abs(det))
+            if g == 1:
+                break
+        if g > 1:
+            # a basis over Q whose minors all share a factor
+            bad |= _prime_factors(g)
     return bad
 
 

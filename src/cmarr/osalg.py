@@ -6,7 +6,7 @@ the algebra itself is represented combinatorially through nbc sets.
 
 # rref is unused here but stays bound in this module: bench/trace_job.py
 # wraps it by name.
-from .exactlin import echelon_insert, reduce_covector, rref  # noqa: F401
+from .exactlin import echelon_insert, rref  # noqa: F401
 from .lattice import flat_children
 
 
@@ -135,10 +135,10 @@ def broken_circuits(circuit_set, order):
 def nbc_basis(arr, order=None):
     """Enumerate the nbc sets of the arrangement under a hyperplane order.
 
-    DFS over hyperplanes in order position, maintaining an incremental row
-    basis for the independence test; branches are cut as soon as a set is
-    dependent or contains a broken circuit, since both defects persist in
-    supersets.
+    DFS over hyperplanes in order position, cutting a branch as soon as the
+    set contains a broken circuit.  That also cuts every dependent set: it
+    contains a circuit C, so the broken circuit C - min(C), found when the
+    order-largest element of C is added.
     """
     n = len(arr.hyperplanes)
     if order is None:
@@ -146,7 +146,6 @@ def nbc_basis(arr, order=None):
     order = tuple(order)
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of 0..%d" % (n - 1))
-    covs = arr.hyperplanes
     rank = arr.rank
     pos = [0] * n
     for i, h in enumerate(order):
@@ -167,7 +166,7 @@ def nbc_basis(arr, order=None):
             rest ^ (1 << least) ^ (1 << top))
     sets_by_size = [[] for _ in range(rank + 1)]
 
-    def dfs(start_pos, current, mask, basis_rows):
+    def dfs(start_pos, current, mask):
         sets_by_size[len(current)].append(tuple(sorted(current)))
         if len(current) == rank:
             return  # every further hyperplane is dependent
@@ -176,15 +175,11 @@ def nbc_basis(arr, order=None):
             rests = rest_by_top.get(h)
             if rests and _some_submask_in(mask, rests):
                 continue  # contains a broken circuit
-            res = reduce_covector(covs[h], basis_rows)
-            if res is None:
-                continue  # dependent; supersets stay dependent
             current.append(h)
-            dfs(p + 1, current, mask | (1 << h),
-                echelon_insert(basis_rows, res))
+            dfs(p + 1, current, mask | (1 << h))
             current.pop()
 
-    dfs(0, [], 0, ())
+    dfs(0, [], 0)
     for bucket in sets_by_size:
         bucket.sort()
     return NbcBasis(order, sets_by_size)

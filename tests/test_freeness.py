@@ -9,8 +9,8 @@ from cmarr.errors import (DimensionMismatch, ExponentMismatch,
                           FlatNotInLattice, IndexOutOfRange, InexactDivision,
                           MalformedPolynomial)
 from cmarr.exactlin import common_kernel, restrict_covectors_to
-from cmarr.freeness import (ExponentReport, FreenessVerdict, _divide_linear,
-                            deletion, exponents_from_poincare,
+from cmarr.freeness import (ExponentReport, FreenessVerdict, _deletion_lines,
+                            _divide_linear, deletion, exponents_from_poincare,
                             inductive_freeness, localization,
                             nonfree_by_localization, restriction)
 from cmarr.generators import (gen_G8, gen_coxeter_namikawa,
@@ -281,6 +281,54 @@ def test_witness_chain_bookkeeping():
         assert sorted(step["restriction_exponents"]
                       + [sum(exps) - sum(step["restriction_exponents"])]) \
             == sorted(exps)
+
+
+# ---------------------------------------------------------------------------
+# deletion nodes size their candidates from the parent's rank-2 flats
+
+
+@st.composite
+def arrangement_and_deleted(draw):
+    """Up to 8 covectors in Q^2..Q^4 with small entries and frequent zeros,
+    so rank-2 flats often carry three or more hyperplanes, and one index."""
+    d = draw(st.integers(2, 4))
+    entry = st.one_of(st.just(0), st.integers(-2, 2))
+    vec = st.lists(entry, min_size=d, max_size=d).filter(any)
+    arr = Arrangement(d, draw(st.lists(vec, min_size=1, max_size=8)))
+    return arr, draw(st.integers(0, len(arr) - 1))
+
+
+def _rank2_masks(arr):
+    by_rank = build_lattice(arr).by_rank
+    return [f.mask for f in by_rank[2]] if len(by_rank) > 2 else []
+
+
+@settings(deadline=None, max_examples=150)
+@given(arrangement_and_deleted())
+def test_deletion_lines_are_rank2_flats_of_the_deletion(case):
+    arr, h0 = case
+    lines = _rank2_masks(arr)
+    assert sorted(_deletion_lines(lines, h0)) == \
+        sorted(_rank2_masks(deletion(arr, h0)))
+
+
+@pytest.mark.parametrize("arr", [gen_G8(), gen_coxeter_namikawa((6,)),
+                                 gen_wreath("A3", 4, 2)],
+                         ids=["G8", "coxeter-S6", "wreath-A3-2"])
+def test_search_restricts_only_the_candidates_it_tries(arr, monkeypatch):
+    calls = []
+    real = free_mod.restriction
+
+    def counting(a, h):
+        calls.append(h)
+        return real(a, h)
+
+    monkeypatch.setattr(free_mod, "restriction", counting)
+    verdict = inductive_freeness(arr)
+    assert verdict.status == "InductivelyFree"
+    # only candidates the search tries are restricted, not every
+    # hyperplane of each node to read |A''|
+    assert len(calls) <= verdict.nodes_used
 
 
 # ---------------------------------------------------------------------------

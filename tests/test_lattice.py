@@ -1,4 +1,5 @@
 import itertools
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,8 @@ from cmarr.exactlin import common_kernel, in_row_span, rref
 from cmarr.generators import (gen_G4, gen_G8, gen_coxeter_namikawa,
                               gen_cyclic, gen_dihedral_even, gen_wreath)
 from cmarr.intpoly import IntPolynomial
-from cmarr.lattice import (Arrangement, admissible_primes, bad_primes,
+from cmarr.lattice import (Arrangement, _int_det, _prime_factors,
+                           admissible_primes, bad_primes,
                            build_lattice, char_poly_finite_field,
                            characteristic_polynomial, complement_count,
                            essentialize, mobius_by_rank,
@@ -186,6 +188,57 @@ def test_admissible_primes_avoid_bad_set():
     primes = admissible_primes(arr, 4)
     assert len(primes) == 4
     assert not bad.intersection(primes)
+
+
+def _bad_primes_all_sizes(arr):
+    """bad_primes as it scanned before: independent subsets of every size
+    from 2 to dim, not bases only."""
+    covs = arr.hyperplanes
+    d = arr.dim
+    bad = set()
+    for k in range(2, min(d, len(covs)) + 1):
+        for idx in itertools.combinations(range(len(covs)), k):
+            g = 0
+            for cols in itertools.combinations(range(d), k):
+                g = gcd(g, abs(_int_det([[covs[i][c] for c in cols]
+                                         for i in idx])))
+            if g > 1:
+                bad |= _prime_factors(g)
+    return bad
+
+
+@st.composite
+def degenerate_arrangements(draw):
+    """Rows spanning m independent generators of Q^d, 2 <= d <= 4, so the
+    rank may fall below dim; some rows are v + p w for earlier rows v, w
+    and a small prime p, so they degenerate mod p."""
+    d = draw(st.integers(2, 4))
+    entry = st.integers(-3, 3)
+    # m unit upper-triangular generators, each also a row: rank m
+    m = draw(st.sampled_from([d, d - 1]))
+    gens = [[0] * i + [1] + draw(st.lists(entry, min_size=d - i - 1,
+                                          max_size=d - i - 1))
+            for i in range(m)]
+    rows = list(gens)
+    for _ in range(draw(st.integers(1, 5))):
+        if len(rows) >= 2 and draw(st.booleans()):
+            v, w = draw(st.permutations(rows))[:2]
+            p = draw(st.sampled_from([2, 3, 5, 7]))
+            row = [a + p * b for a, b in zip(v, w)]
+        else:
+            coefs = draw(st.lists(entry, min_size=len(gens),
+                                  max_size=len(gens)))
+            row = [sum(c * g[j] for c, g in zip(coefs, gens))
+                   for j in range(d)]
+        if any(row):
+            rows.append(row)
+    return Arrangement(d, rows)
+
+
+@settings(deadline=None, max_examples=150)
+@given(degenerate_arrangements())
+def test_bad_primes_bases_match_all_sizes(arr):
+    assert bad_primes(arr) == _bad_primes_all_sizes(arr)
 
 
 def test_essentialize_preserves_combinatorics():

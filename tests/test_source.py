@@ -1,6 +1,7 @@
 """Checks on the source text of src/cmarr."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cmarr"
@@ -15,3 +16,33 @@ def test_no_assert_statements():
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _wrapped_names():
+    """(module, attribute) pairs that bench/trace_job.py wraps by name; a
+    module keeps those bound even where it does not read them."""
+    path = SRC.parent.parent / "bench" / "trace_job.py"
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {(mod, attr) for mod, attr, _ in module.WRAPS}
+
+
+def test_imports_are_used():
+    wrapped = _wrapped_names()
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and (path.stem, name) not in wrapped:
+                    unused.append("%s:%d %s" % (path.name, node.lineno, name))
+    assert unused == []
