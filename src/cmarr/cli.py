@@ -3,7 +3,6 @@
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .arrfile import (emit_arrangement, parse_arrangement_with_warnings,
                       parse_weyl_token)
@@ -172,6 +171,8 @@ def run_analyze(arr, args):
 
 
 def _counts_parallel(arr, primes, threads):
+    # imported here: the pool costs start-up time that only --threads > 1 uses
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda q: complement_count(arr, q), primes))
 

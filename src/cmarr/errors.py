@@ -75,7 +75,13 @@ class LayoutMismatch(CmarrError):
 
 
 class NotStable(CmarrError):
-    """Orbit computation requested on a non-stable arrangement."""
+    """An arrangement is not stable under a Weyl block layout; carries the
+    first generator and the first covector it moves outside the set."""
+
+    def __init__(self, message, generator=None, covector=None):
+        self.generator = generator
+        self.covector = covector
+        super().__init__(message)
 
 
 class NonIntegral(CmarrError):

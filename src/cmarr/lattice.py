@@ -8,7 +8,7 @@ import itertools
 from math import gcd
 
 from .errors import (BadPrime, DimensionMismatch, InconsistentCounts,
-                     MobiusSignViolation)
+                     LayoutMismatch, MobiusSignViolation, NotStable)
 # rref and in_row_span are unused here but stay bound in this module:
 # bench/trace_job.py wraps them by name.
 from .exactlin import (common_kernel, echelon_insert, in_row_span,  # noqa: F401
@@ -111,12 +111,10 @@ class Flat:
 def _bits(mask):
     """Indices of the set bits of mask, ascending."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -156,44 +154,111 @@ def flat_children(covs, x, rows):
     return children
 
 
+def _generator_tables(arr):
+    """Per-generator byte tables of the mask maps by which the block
+    generators of arr.weyl permute the flats; an empty list without a
+    layout that fits arr.dim and leaves arr stable.
+
+    tables[k][b] is the image of the mask b << 8k, so a mask's image is the
+    union of one lookup per byte.
+    """
+    if arr.weyl is None:
+        return []
+    # symmetry imports this module, so the import waits for the call
+    from .symmetry import generator_permutations
+    try:
+        perms = generator_permutations(arr, arr.weyl)
+    except (LayoutMismatch, NotStable):
+        return []
+    gens = []
+    for perm in perms:
+        tables = []
+        for base in range(0, len(perm), 8):
+            table = [0] * (1 << min(8, len(perm) - base))
+            for b in range(1, len(table)):
+                low = b & -b
+                table[b] = table[b ^ low] \
+                    | 1 << perm[base + low.bit_length() - 1]
+            tables.append(table)
+        gens.append(tables)
+    return gens
+
+
+def _orbit(y, gens):
+    """The masks of y's orbit under the generator tables, y first."""
+    orbit = [y]
+    seen = {y}
+    for z in orbit:
+        for tables in gens:
+            w = 0
+            v = z
+            for table in tables:
+                w |= table[v & 255]
+                v >>= 8
+            if w not in seen:
+                seen.add(w)
+                orbit.append(w)
+    return orbit
+
+
 def build_lattice(arr):
     """Rank-level closure of intersections, with Mobius numbers.
 
     A flat is the int bitmask of the hyperplanes containing it, so flat Z
     lies below flat X iff Z & ~X == 0; this is valid because every flat of a
     central arrangement is the intersection of the hyperplanes containing
-    it.  While its level is built, a flat also carries its span as integer
-    echelon rows (see `exactlin.reduce_covector`).
+    it.
 
-    The children of a flat come from `flat_children`; children reached from
-    several parents are merged by mask.
+    The block generators of a stable `weyl` layout permute the hyperplanes,
+    hence the flats, as linear automorphisms.  Each level is kept as orbits
+    of flats under the group W they generate: only an orbit's representative
+    carries its span as integer echelon rows (see `exactlin.reduce_covector`)
+    and has its children found by `flat_children`.  A child outside every
+    known orbit starts a new one, closed under the generators as mask
+    images.  Every flat of the next level covers some g x with x a
+    representative, so lies in the orbit of a child of x.  Without a stable
+    layout W is trivial and every flat is its own orbit.
 
-    Each parent-child pair is a cover X < Y, so Weisner's theorem (Stanley,
-    EC I, 3.9) gives mu(Y) = -sum of mu(X) over the covers X of Y that miss
-    a, the lowest hyperplane of Y; a wrong sign raises MobiusSignViolation.
-    Within a level flats are ordered by their sorted hyperplane indices.
+    Mobius numbers are constant on orbits.  Summing Weisner's theorem
+    (Stanley, EC I, 3.9) over the n(Y) hyperplanes containing Y gives
+    n(Y) mu(Y) = -sum of (n(Y) - n(X)) mu(X) over the covers X < Y, a sum
+    invariant under W; over an orbit it is the sum over representatives x
+    of |orbit of x| times the terms of x's children in the orbit, which is
+    then divided by |orbit| n(Y).  A remainder or a sign other than
+    (-1)^rank raises MobiusSignViolation.  Within a level flats are ordered
+    by their sorted hyperplane indices.
     """
     covs = arr.hyperplanes
-    levels = [[0]]
-    level = {0: ()}
-    mobius = {0: 1}
+    gens = _generator_tables(arr)
+    by_rank = [[Flat(arr, 0, 0, 1)]]
+    reps = [(0, (), 1, 1)]  # (mask, echelon rows, orbit size, mu)
     while True:
-        next_level = {}
-        for x, rows in level.items():
+        orbit_of = {}
+        orbits = []  # [mask, rows, size, weighted sum of cover terms]
+        for x, rows, size, mu in reps:
+            weight = size * mu
+            n_x = x.bit_count()
             for res, y in flat_children(covs, x, rows).items():
-                if y not in next_level:
-                    next_level[y] = echelon_insert(rows, res)
-                if not x & y & -y:
-                    mobius[y] = mobius.get(y, 0) - mobius[x]
-        if not next_level:
+                k = orbit_of.get(y)
+                if k is None:
+                    k = len(orbits)
+                    orbit = _orbit(y, gens)
+                    orbit_of.update(dict.fromkeys(orbit, k))
+                    orbits.append([y, echelon_insert(rows, res), len(orbit),
+                                   0])
+                orbits[k][3] += weight * (y.bit_count() - n_x)
+        if not orbits:
             break
-        r = len(levels)
-        if any(mobius.get(y, 0) * (-1) ** r <= 0 for y in next_level):
-            raise MobiusSignViolation("Mobius sign violation at rank %d" % r)
-        levels.append(sorted(next_level, key=_bits))
-        level = next_level
-    by_rank = [[Flat(arr, x, r, mobius[x]) for x in masks]
-               for r, masks in enumerate(levels)]
+        r = len(by_rank)
+        reps = []
+        for y, rows, size, acc in orbits:
+            mu, rem = divmod(-acc, size * y.bit_count())
+            if rem or mu * (-1) ** r <= 0:
+                raise MobiusSignViolation(
+                    "Mobius sign violation at rank %d" % r)
+            reps.append((y, rows, size, mu))
+        by_rank.append([Flat(arr, y, r, reps[orbit_of[y]][3])
+                        for y in sorted(orbit_of, key=_bits)])
     flats = [f for lvl in by_rank for f in lvl]
     return IntersectionLattice(arr, flats, by_rank)
 

@@ -119,29 +119,42 @@ class StabilityResult:
         return self.stable
 
 
+def generator_permutations(arr, spec):
+    """The block generators as index permutations of arr's hyperplanes.
+
+    Entry k maps each hyperplane index i to the index of its image under the
+    k-th generator of `block_generators`.  Raises LayoutMismatch when the
+    layout does not fit arr.dim, and NotStable, carrying the first generator
+    and the first covector it moves outside the set, when arr is not stable.
+    """
+    blocks = _check_layout(arr, spec)
+    index_of = {c: i for i, c in enumerate(arr.hyperplanes)}
+    perms = []
+    for g in block_generators(blocks):
+        perm = []
+        for c in arr.hyperplanes:
+            j = index_of.get(g.apply_covector(c))
+            if j is None:
+                raise NotStable(
+                    "arrangement is not stable under %r (generator %r "
+                    "moves %r outside the set)" % (list(blocks), g, c), g, c)
+            perm.append(j)
+        perms.append(tuple(perm))
+    return perms
+
+
 def is_stable(arr, spec):
     """Set-wise invariance under each adjacent-transposition generator."""
-    blocks = _check_layout(arr, spec)
-    cov_set = set(arr.hyperplanes)
-    for g in block_generators(blocks):
-        for c in arr.hyperplanes:
-            img = g.apply_covector(c)
-            if img not in cov_set:
-                return StabilityResult(False, g, c)
+    try:
+        generator_permutations(arr, spec)
+    except NotStable as e:
+        return StabilityResult(False, e.generator, e.covector)
     return StabilityResult(True)
 
 
 def hyperplane_orbits(arr, spec):
     """Orbit partition of hyperplane indices under the generated group."""
-    blocks = _check_layout(arr, spec)
-    st = is_stable(arr, blocks)
-    if not st.stable:
-        raise NotStable("arrangement is not stable under %r (generator %r "
-                        "moves %r outside the set)"
-                        % (list(blocks), st.witness_generator,
-                           st.witness_covector))
-    gens = block_generators(blocks)
-    index_of = {c: i for i, c in enumerate(arr.hyperplanes)}
+    perms = generator_permutations(arr, spec)
     unassigned = set(range(len(arr.hyperplanes)))
     orbits = []
     while unassigned:
@@ -151,8 +164,8 @@ def hyperplane_orbits(arr, spec):
         while frontier:
             new = []
             for i in frontier:
-                for g in gens:
-                    j = index_of[g.apply_covector(arr.hyperplanes[i])]
+                for p in perms:
+                    j = p[i]
                     if j not in orbit:
                         orbit.add(j)
                         new.append(j)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -330,3 +333,14 @@ def test_analyze_usage_errors_exit_1(capsys, tmp_path, flags):
 def test_help_exits_0(capsys):
     code, out, _ = run(capsys, ["analyze", "--help"])
     assert code == 0 and out.startswith("usage: cmarr analyze")
+
+
+def test_cli_import_leaves_thread_pool_unloaded():
+    # only --threads > 1 needs concurrent.futures
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, cmarr.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out == "False\n"

@@ -2,10 +2,12 @@ import itertools
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import cmarr.lattice as lattice_mod
 from cmarr.errors import BadPrime, InconsistentCounts, MobiusSignViolation
-from cmarr.exactlin import common_kernel, in_row_span, rref
+from cmarr.exactlin import (common_kernel, in_row_span, normalize_covector,
+                            rref)
 from cmarr.generators import (gen_G4, gen_G8, gen_coxeter_namikawa,
                               gen_cyclic, gen_dihedral_even, gen_wreath)
 from cmarr.intpoly import IntPolynomial
@@ -15,6 +17,8 @@ from cmarr.lattice import (Arrangement, _int_det, _prime_factors,
                            characteristic_polynomial, complement_count,
                            essentialize, mobius_by_rank,
                            poincare_polynomial, whitney_numbers)
+from cmarr.symmetry import (block_generators, is_stable,
+                            terminalization_count)
 
 BOOLEAN2 = Arrangement(2, [(1, 0), (0, 1)])
 CONCURRENT3 = Arrangement(2, [(1, 0), (0, 1), (1, 1)])
@@ -358,3 +362,108 @@ def integer_arrangements(draw):
 @given(integer_arrangements())
 def test_weisner_mobius_matches_reference_random(arr):
     _assert_mobius_matches_reference(arr)
+
+
+# ---------------------------------------------------------------------------
+# The build on W-orbits of flats against the plain build
+
+
+def _levels(lat):
+    return [[(f.mask, f.mobius) for f in level] for level in lat.by_rank]
+
+
+def _assert_matches_plain(arr):
+    """Same masks per level, in the same order, with the same Mobius values
+    as the build of the same covectors without a Weyl layout."""
+    plain = Arrangement(arr.dim, arr.hyperplanes)
+    assert _levels(build_lattice(arr)) == _levels(build_lattice(plain))
+
+
+def test_orbit_build_matches_plain(corpus):
+    arrs = [a for a in corpus if is_stable(a, a.weyl)]
+    assert len(arrs) == len(corpus)
+    for arr in arrs + [gen_coxeter_namikawa((6,)),
+                       gen_coxeter_namikawa((3, 4)),
+                       gen_wreath("A3", 4, 3), gen_wreath("A4", 5, 2)]:
+        _assert_matches_plain(arr)
+
+
+def _g8_minus_one():
+    g8 = gen_G8()
+    return Arrangement(3, g8.hyperplanes[1:], weyl=(4,))
+
+
+def _g8_layout(weyl):
+    return Arrangement(3, gen_G8().hyperplanes, weyl=weyl)
+
+
+def test_orbit_build_falls_back_without_a_stable_fitting_layout():
+    unstable = _g8_minus_one()
+    assert not is_stable(unstable, (4,))
+    _assert_matches_plain(unstable)
+    _assert_matches_plain(_g8_layout((3,)))  # dimension 2, not 3
+
+
+@st.composite
+def symmetric_arrangements(draw):
+    """Integer covectors closed under the block generators of a random
+    Weyl layout of dimension 1 to 4, in a random hyperplane order."""
+    blocks = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)
+                  .filter(lambda b: 1 <= sum(m - 1 for m in b) <= 4))
+    d = sum(m - 1 for m in blocks)
+    gens = block_generators(blocks)
+    entry = st.one_of(st.just(0), st.integers(-2, 2))
+    seeds = draw(st.lists(st.lists(entry, min_size=d, max_size=d)
+                          .filter(any), min_size=1, max_size=2))
+    covs = {normalize_covector(c) for c in seeds}
+    frontier = list(covs)
+    while frontier:
+        new = [g.apply_covector(c) for c in frontier for g in gens]
+        frontier = [c for c in set(new) if c not in covs]
+        covs.update(frontier)
+    assume(len(covs) <= 30)
+    order = draw(st.permutations(sorted(covs)))
+    return Arrangement(d, order, weyl=blocks)
+
+
+@settings(deadline=None, max_examples=60)
+@given(symmetric_arrangements())
+def test_orbit_build_matches_plain_random(arr):
+    assert is_stable(arr, arr.weyl)
+    _assert_matches_plain(arr)
+
+
+def _flat_children_calls(monkeypatch, arr):
+    calls = []
+    real = lattice_mod.flat_children
+
+    def counting(covs, x, rows):
+        calls.append(x)
+        return real(covs, x, rows)
+
+    monkeypatch.setattr(lattice_mod, "flat_children", counting)
+    lat = build_lattice(arr)
+    return len(calls), len(lat.flats)
+
+
+@pytest.mark.parametrize("make, orbits", [
+    (lambda: gen_wreath("A4", 5, 2), 38),
+    (lambda: gen_wreath("A3", 4, 3), 39),
+    (gen_G8, 14)])
+def test_orbit_build_reduces_one_flat_per_orbit(monkeypatch, make, orbits):
+    calls, flats = _flat_children_calls(monkeypatch, make())
+    assert calls == orbits < flats
+
+
+@pytest.mark.parametrize("make", [
+    _g8_minus_one, lambda: _g8_layout((3,)), lambda: _g8_layout(None)])
+def test_plain_build_reduces_every_flat(monkeypatch, make):
+    calls, flats = _flat_children_calls(monkeypatch, make())
+    assert calls == flats
+
+
+def test_wreath_a4_3_golden():
+    arr = gen_wreath("A4", 5, 3)
+    p = poincare_polynomial(build_lattice(arr))
+    assert p.coeffs == (1, 51, 985, 8685, 31774, 24024)
+    assert terminalization_count(p, arr.weyl) == 273

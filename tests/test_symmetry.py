@@ -10,7 +10,8 @@ from cmarr.intpoly import IntPolynomial
 from cmarr.lattice import Arrangement, build_lattice, poincare_polynomial
 from cmarr.symmetry import (BlockPermutation, act, audit_table1,
                             block_generators, contains_subarrangement,
-                            group_order, hyperplane_orbits, is_stable,
+                            generator_permutations, group_order,
+                            hyperplane_orbits, is_stable,
                             terminalization_count)
 
 
@@ -74,6 +75,33 @@ def test_orbits_g4_split_by_tag():
 def test_orbits_require_stability():
     with pytest.raises(NotStable):
         hyperplane_orbits(Arrangement(2, [(1, 0)]), (3,))
+
+
+def test_unstable_witness_and_message():
+    # G8 minus its first hyperplane: the first generator is the first to
+    # move a covector outside, and (1, 0, -1) the first covector it moves
+    arr = Arrangement(3, gen_G8().hyperplanes[1:])
+    st = is_stable(arr, (4,))
+    assert st.witness_generator == block_generators((4,))[0]
+    assert st.witness_covector == (1, 0, -1)
+    with pytest.raises(NotStable) as exc:
+        hyperplane_orbits(arr, (4,))
+    assert str(exc.value) == (
+        "arrangement is not stable under [4] (generator "
+        "BlockPermutation([4], [[1, 0, 2, 3]]) moves (1, 0, -1) outside "
+        "the set)")
+
+
+def test_generator_permutations_follow_the_action():
+    arr = gen_wreath("A2", 3, 2)
+    perms = generator_permutations(arr, arr.weyl)
+    gens = block_generators(arr.weyl)
+    assert len(perms) == len(gens)
+    covs = arr.hyperplanes
+    for g, perm in zip(gens, perms):
+        assert sorted(perm) == list(range(len(covs)))
+        assert [covs[j] for j in perm] \
+            == [g.apply_covector(c) for c in covs]
 
 
 def test_contains_subarrangement():
