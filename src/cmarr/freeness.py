@@ -7,9 +7,7 @@ or for one of its localizations; InductivelyFree certificates are removal
 chains for the addition-deletion triple.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from collections import namedtuple
 
 from .errors import (DimensionMismatch, ExponentMismatch, FlatNotInLattice,
                      IndexOutOfRange, InexactDivision, MalformedPolynomial)
@@ -24,11 +22,13 @@ from .lattice import (Arrangement, _bits, build_lattice, essentialize,
 DEFAULT_BUDGET = 10 ** 6
 
 
-@dataclass(frozen=True)
-class ExponentReport:
-    factors_integrally: bool
-    exponents: tuple = ()
-    residual: Optional[IntPolynomial] = None
+class ExponentReport(namedtuple("ExponentReport",
+                                "factors_integrally exponents residual",
+                                defaults=((), None))):
+    """Whether p factors into (1 + b t) pieces, the b found, and the
+    IntPolynomial left unfactored (None when it factors)."""
+
+    __slots__ = ()
 
 
 def exponents_from_poincare(p):
@@ -49,7 +49,7 @@ def exponents_from_poincare(p):
         lead = abs(current[-1])
         b_found = None
         for b in sorted(_divisors(lead)):
-            if _eval_at(current, Fraction(-1, b)) == 0:
+            if _vanishes_at_minus_inverse(current, b):
                 b_found = b
                 break
         if b_found is None:
@@ -74,11 +74,16 @@ def _divisors(x):
     return out
 
 
-def _eval_at(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _vanishes_at_minus_inverse(coeffs, b):
+    """Whether p(-1/b) = 0 for p with ascending coefficients and b != 0.
+
+    (-b)^d p(-1/b) = sum of c_k (-b)^(d-k), an integer that Horner's rule
+    computes from the constant term up, with no fractions.
+    """
+    acc = 0
+    for c in coeffs:
+        acc = acc * -b + c
+    return acc == 0
 
 
 def _divide_linear(coeffs, b):
@@ -157,12 +162,29 @@ def localization(arr, flat):
     return Arrangement(arr.dim, covs)
 
 
-@dataclass
 class FreenessVerdict:
-    status: str  # "InductivelyFree" | "NotFree" | "Unknown"
-    exponents: tuple = ()
-    witness: object = None
-    nodes_used: int = 0
+    """status is "InductivelyFree", "NotFree" or "Unknown"; nodes_used is
+    set once the search that produced the verdict ends."""
+
+    __slots__ = ("status", "exponents", "witness", "nodes_used")
+
+    def __init__(self, status, exponents=(), witness=None, nodes_used=0):
+        self.status = status
+        self.exponents = exponents
+        self.witness = witness
+        self.nodes_used = nodes_used
+
+    def _fields(self):
+        return self.status, self.exponents, self.witness, self.nodes_used
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return ("FreenessVerdict(status=%r, exponents=%r, witness=%r, "
+                "nodes_used=%r)" % self._fields())
 
     def to_dict(self):
         return {"status": self.status,

@@ -6,10 +6,8 @@ is parametrized by dropping the index-0 coordinate, so it contributes m-1
 essential coordinates (kappa_{b,0} = -sum_{i>=1} kappa_{b,i}).
 """
 
-import json
 import re
-from dataclasses import dataclass
-from importlib import resources
+from collections import namedtuple
 
 from .errors import (GeneratorInvariant, InvalidN, InvalidOrder,
                      InvalidParams, UnsupportedType)
@@ -332,14 +330,12 @@ def gen_G8():
 # bundled reference table
 
 
-@dataclass(frozen=True)
-class TableRow:
-    group: str
-    n_hyperplanes: int
-    weyl: tuple
-    poincare_factors: tuple  # each factor as ascending coefficient tuple
-    e_count: int
-    free_flag: bool
+class TableRow(namedtuple("TableRow", "group n_hyperplanes weyl "
+                                      "poincare_factors e_count free_flag")):
+    """One printed row; each Poincare factor is an ascending coefficient
+    tuple."""
+
+    __slots__ = ()
 
     @property
     def poincare(self):
@@ -348,6 +344,9 @@ class TableRow:
 
 def table1_rows():
     """The 15 reference rows exactly as printed, factored Poincare included."""
+    # only this function reads the bundled table, so its modules load here
+    import json
+    from importlib import resources
     text = resources.files("cmarr").joinpath("data/table1.json").read_text()
     data = json.loads(text)
     rows = []

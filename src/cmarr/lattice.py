@@ -87,8 +87,12 @@ class Flat:
                  "_subspace")
 
     def __init__(self, arrangement, mask, rank, mobius=None):
+        self._fill(arrangement, mask, _bits(mask), rank, mobius)
+
+    def _fill(self, arrangement, mask, bits, rank, mobius):
+        # bits: _bits(mask), for a caller that already has it
         self.mask = mask
-        self.hyperplanes = frozenset(_bits(mask))
+        self.hyperplanes = frozenset(bits)
         self.rank = rank
         self.mobius = mobius
         self._arr = arrangement
@@ -257,8 +261,14 @@ def build_lattice(arr):
                 raise MobiusSignViolation(
                     "Mobius sign violation at rank %d" % r)
             reps.append((y, rows, size, mu))
-        by_rank.append([Flat(arr, y, r, reps[orbit_of[y]][3])
-                        for y in sorted(orbit_of, key=_bits)])
+        # each flat's bit list is both its sort key and its hyperplanes
+        bits_of = {y: _bits(y) for y in orbit_of}
+        level = []
+        for y in sorted(bits_of, key=bits_of.__getitem__):
+            f = Flat.__new__(Flat)
+            f._fill(arr, y, bits_of[y], r, reps[orbit_of[y]][3])
+            level.append(f)
+        by_rank.append(level)
     flats = [f for lvl in by_rank for f in lvl]
     return IntersectionLattice(arr, flats, by_rank)
 

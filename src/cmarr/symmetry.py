@@ -6,7 +6,7 @@ on the essential coordinates (index-0 coordinate of each block eliminated)
 is applied to covectors.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import factorial
 
 from .errors import LayoutMismatch, NonIntegral, NotStable
@@ -109,11 +109,13 @@ def act(perm, arr):
                        weyl=arr.weyl)
 
 
-@dataclass(frozen=True)
-class StabilityResult:
-    stable: bool
-    witness_generator: object = None  # violating generator, when unstable
-    witness_covector: object = None  # a covector mapped outside the set
+class StabilityResult(namedtuple("StabilityResult",
+                                 "stable witness_generator witness_covector",
+                                 defaults=(None, None))):
+    """True when stable; otherwise the violating generator and a covector
+    it maps outside the set."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.stable

@@ -335,12 +335,21 @@ def test_help_exits_0(capsys):
     assert code == 0 and out.startswith("usage: cmarr analyze")
 
 
+# Modules a fresh `import cmarr.cli` must not load: only --threads > 1 needs
+# concurrent.futures, only table1_rows reads a bundled file, and the rest
+# come with dataclasses or typing.
+UNLOADED_BY_CLI_IMPORT = ("concurrent.futures", "dataclasses", "inspect",
+                          "ast", "typing", "importlib.resources")
+
+
 def test_cli_import_leaves_thread_pool_unloaded():
-    # only --threads > 1 needs concurrent.futures
+    # -S: modules that site's .pth files preload would hide an import
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, cmarr.cli; print('concurrent.futures' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out == "False\n"
+    code = ("import sys, cmarr.cli; print(' '.join(m for m in %r "
+            "if m in sys.modules))" % (UNLOADED_BY_CLI_IMPORT,))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=60).stdout
+    assert out.split() == []

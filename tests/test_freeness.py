@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,69 @@ def test_divide_linear_exact_and_typed():
         _divide_linear([1, 2, 1], 2)
     with pytest.raises(InexactDivision):
         _divide_linear([1, 4, 3], 2)
+
+
+@st.composite
+def polynomial_and_candidates(draw):
+    """Ascending coefficients of a product of (1 + b t) factors and one
+    random factor with constant term 1, which mostly has no root of the
+    form -1/b; the candidates are the divisors of the leading coefficient,
+    the b of the linear factors and one arbitrary nonzero integer."""
+    roots = draw(st.lists(st.integers(1, 30), max_size=4))
+    extra = [1] + draw(st.lists(st.integers(-40, 40), max_size=3))
+    coeffs = IntPolynomial.from_factors([[1, b] for b in roots]
+                                        + [extra]).coeffs
+    lead = abs(coeffs[-1])
+    candidates = {d for d in range(1, lead + 1) if lead % d == 0}
+    candidates.update(roots)
+    candidates.add(draw(st.integers(-60, 60).filter(bool)))
+    return coeffs, sorted(candidates)
+
+
+@settings(deadline=None, max_examples=200)
+@given(polynomial_and_candidates())
+def test_integer_root_test_matches_fraction_evaluation(case):
+    coeffs, candidates = case
+    for b in candidates:
+        x = Fraction(-1, b)
+        value = sum(c * x ** k for k, c in enumerate(coeffs))
+        assert free_mod._vanishes_at_minus_inverse(coeffs, b) \
+            == (value == 0), (coeffs, b)
+
+
+def test_exponent_report_api():
+    res = IntPolynomial([1, 21, 116])
+    rep = ExponentReport(False, (1,), res)
+    assert (rep.factors_integrally, rep.exponents, rep.residual) \
+        == (False, (1,), res)
+    assert rep == ExponentReport(factors_integrally=False, exponents=(1,),
+                                 residual=IntPolynomial([1, 21, 116]))
+    assert rep != ExponentReport(False, (2,), res)
+    assert hash(rep) == hash(ExponentReport(False, (1,), res))
+    default = ExponentReport(True)
+    assert (default.exponents, default.residual) == ((), None)
+    assert default == ExponentReport(factors_integrally=True)
+    with pytest.raises(AttributeError):
+        default.exponents = (1,)
+
+
+def test_freeness_verdict_api():
+    v = FreenessVerdict("Unknown")
+    assert (v.status, v.exponents, v.witness, v.nodes_used) \
+        == ("Unknown", (), None, 0)
+    full = FreenessVerdict("InductivelyFree", (1, 2), {"chain": []}, 5)
+    assert full == FreenessVerdict(status="InductivelyFree", exponents=(1, 2),
+                                   witness={"chain": []}, nodes_used=5)
+    assert full != FreenessVerdict("InductivelyFree", (1, 2), {"chain": []})
+    assert full != FreenessVerdict("NotFree", (1, 2), {"chain": []}, 5)
+    with pytest.raises(TypeError):
+        hash(full)
+    # nodes_used is set after the search
+    v.nodes_used = 7
+    assert v.to_dict() == {"status": "Unknown", "exponents": [],
+                           "witness": None, "nodes_used": 7}
+    assert full.to_dict() == {"status": "InductivelyFree", "exponents": [1, 2],
+                              "witness": {"chain": []}, "nodes_used": 5}
 
 
 def test_chain_exponent_mismatch_is_typed(monkeypatch):

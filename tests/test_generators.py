@@ -3,9 +3,9 @@ import pytest
 import cmarr.generators as gen_mod
 from cmarr.errors import (GeneratorInvariant, InvalidN, InvalidOrder,
                           InvalidParams, UnsupportedType)
-from cmarr.generators import (RootSystem, default_group_order, gen_G4,
-                              gen_G8, gen_coxeter_namikawa, gen_cyclic,
-                              gen_dihedral_even, gen_wreath,
+from cmarr.generators import (RootSystem, TableRow, default_group_order,
+                              gen_G4, gen_G8, gen_coxeter_namikawa,
+                              gen_cyclic, gen_dihedral_even, gen_wreath,
                               project_zero_sum, root_system, table1_rows)
 from cmarr.intpoly import IntPolynomial
 from cmarr.lattice import build_lattice, poincare_polynomial
@@ -14,6 +14,25 @@ from cmarr.exactlin import rank_of
 
 def poincare(arr):
     return poincare_polynomial(build_lattice(arr))
+
+
+def test_table_row_api():
+    row = TableRow("G8", 25, (4,), ((1, 1), (1, 11), (1, 13)), 96, True)
+    assert row == TableRow(group="G8", n_hyperplanes=25, weyl=(4,),
+                           poincare_factors=((1, 1), (1, 11), (1, 13)),
+                           e_count=96, free_flag=True)
+    assert (row.group, row.n_hyperplanes, row.weyl, row.e_count,
+            row.free_flag) == ("G8", 25, (4,), 96, True)
+    assert row != TableRow("G8", 25, (4,), ((1, 1), (1, 11), (1, 13)), 97,
+                           True)
+    assert hash(row) == hash(TableRow("G8", 25, (4,),
+                                      ((1, 1), (1, 11), (1, 13)), 96, True))
+    assert row.poincare == IntPolynomial.from_factors(row.poincare_factors)
+    assert row.poincare.coeffs == (1, 25, 167, 143)
+    with pytest.raises(TypeError):
+        TableRow("G8", 25, (4,), ((1, 1),), 96)
+    with pytest.raises(AttributeError):
+        row.e_count = 1
 
 
 def test_root_counts():

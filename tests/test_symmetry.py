@@ -8,11 +8,28 @@ from cmarr.generators import (gen_G4, gen_G8, gen_coxeter_namikawa,
                               table1_rows)
 from cmarr.intpoly import IntPolynomial
 from cmarr.lattice import Arrangement, build_lattice, poincare_polynomial
-from cmarr.symmetry import (BlockPermutation, act, audit_table1,
-                            block_generators, contains_subarrangement,
-                            generator_permutations, group_order,
-                            hyperplane_orbits, is_stable,
+from cmarr.symmetry import (BlockPermutation, StabilityResult, act,
+                            audit_table1, block_generators,
+                            contains_subarrangement, generator_permutations,
+                            group_order, hyperplane_orbits, is_stable,
                             terminalization_count)
+
+
+def test_stability_result_api():
+    assert bool(StabilityResult(True)) is True
+    assert bool(StabilityResult(False)) is False
+    res = StabilityResult(False, "g", (1, 0))
+    assert (res.stable, res.witness_generator, res.witness_covector) \
+        == (False, "g", (1, 0))
+    assert res == StabilityResult(stable=False, witness_generator="g",
+                                  witness_covector=(1, 0))
+    assert res != StabilityResult(False, "g", (0, 1))
+    assert hash(res) == hash(StabilityResult(False, "g", (1, 0)))
+    ok = StabilityResult(stable=True)
+    assert (ok.witness_generator, ok.witness_covector) == (None, None)
+    assert ok == StabilityResult(True, None, None)
+    with pytest.raises(AttributeError):
+        ok.stable = False
 
 
 def test_act_identity():
