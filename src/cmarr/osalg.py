@@ -7,22 +7,35 @@ the algebra itself is represented combinatorially through nbc sets.
 # rref is unused here but stays bound in this module: bench/trace_job.py
 # wraps it by name.
 from .exactlin import echelon_insert, rref  # noqa: F401
-from .lattice import flat_children
+from .lattice import _bits, flat_children
 
 
 class CircuitSet:
-    """All minimal dependent subsets of the arrangement's covectors."""
+    """All minimal dependent subsets of the arrangement's covectors.
 
-    __slots__ = ("circuits",)
+    `masks` holds each circuit as the int bitmask of its hyperplane
+    indices; `circuits` is the same sets as sorted index tuples in
+    lexicographic order, built on first read.
+    """
 
-    def __init__(self, circuits):
-        self.circuits = tuple(tuple(sorted(c)) for c in circuits)
+    __slots__ = ("masks", "_circuits")
+
+    def __init__(self, masks):
+        self.masks = tuple(masks)
+        self._circuits = None
+
+    @property
+    def circuits(self):
+        if self._circuits is None:
+            self._circuits = tuple(sorted(tuple(_bits(m))
+                                          for m in self.masks))
+        return self._circuits
 
     def __iter__(self):
         return iter(self.circuits)
 
     def __len__(self):
-        return len(self.circuits)
+        return len(self.masks)
 
 
 class NbcBasis:
@@ -87,14 +100,14 @@ def circuits(arr):
     joins = FlatJoins(arr.hyperplanes).of
     everything = (1 << n) - 1
     found = []
-    # DFS over independent subsets I in increasing index order.  A node
-    # keeps the closure x = cl(I) and the closures cl(I - s), s in I, as
-    # flat masks.  For a later h in x, I + h is dependent, and it is a
-    # circuit iff every I + h - s is independent, i.e. iff h lies in no
-    # cl(I - s); every circuit is met exactly once this way (at I = circuit
-    # minus its largest element).  A later h outside x extends I, and the
-    # child's closures are join(x, h) and join(cl(I - s), h) for each s,
-    # with cl(I) itself for s = h.
+    # DFS over independent subsets I in increasing index order, each kept
+    # as the bitmask `current`.  A node keeps the closure x = cl(I) and the
+    # closures cl(I - s), s in I, as flat masks.  For a later h in x,
+    # I + h is dependent, and it is a circuit iff every I + h - s is
+    # independent, i.e. iff h lies in no cl(I - s); every circuit is met
+    # exactly once this way (at I = circuit minus its largest element).  A
+    # later h outside x extends I, and the child's closures are join(x, h)
+    # and join(cl(I - s), h) for each s, with cl(I) itself for s = h.
 
     def dfs(current, x, minus, start):
         later = -1 << start
@@ -103,7 +116,7 @@ def circuits(arr):
             closed &= ~m
         while closed:
             low = closed & -closed
-            found.append(tuple(current) + (low.bit_length() - 1,))
+            found.append(current | low)
             closed ^= low
         free = everything & ~x & later
         if not free:
@@ -114,12 +127,10 @@ def circuits(arr):
             low = free & -free
             free ^= low
             h = low.bit_length() - 1
-            current.append(h)
-            dfs(current, jx[h], [j[h] for j in jm] + [x], h + 1)
-            current.pop()
+            dfs(current | low, jx[h], [j[h] for j in jm] + [x], h + 1)
 
-    dfs([], 0, [], 0)
-    return CircuitSet(sorted(found))
+    dfs(0, 0, [], 0)
+    return CircuitSet(found)
 
 
 def broken_circuits(circuit_set, order):
@@ -156,14 +167,16 @@ def nbc_basis(arr, order=None):
     # some submask of the current set's mask is the rest of a broken
     # circuit with that top
     rest_by_top = {}
-    for c in circuits(arr):
-        least = min(c, key=pos.__getitem__)
-        top = max(c, key=pos.__getitem__)
-        rest = 0
-        for h in c:
-            rest |= 1 << h
-        rest_by_top.setdefault(top, set()).add(
-            rest ^ (1 << least) ^ (1 << top))
+    natural = order == tuple(range(n))
+    for c in circuits(arr).masks:
+        if natural:
+            least = c & -c
+            top = c.bit_length() - 1
+        else:
+            bits = _bits(c)
+            least = 1 << min(bits, key=pos.__getitem__)
+            top = max(bits, key=pos.__getitem__)
+        rest_by_top.setdefault(top, set()).add(c ^ least ^ 1 << top)
     sets_by_size = [[] for _ in range(rank + 1)]
 
     def dfs(start_pos, current, mask):

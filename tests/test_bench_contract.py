@@ -12,9 +12,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import cmarr.cli
+import cmarr.lattice
 import cmarr.osalg
 from cmarr.cli import build_parser
-from cmarr.generators import gen_G8
+from cmarr.generators import gen_G8, gen_coxeter_namikawa
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACE_JOB = BENCH / "trace_job.py"
@@ -62,3 +64,27 @@ def test_nbc_basis_calls_circuits_through_the_module(monkeypatch):
     arr = gen_G8()
     assert cmarr.osalg.nbc_basis(arr).total == 336
     assert calls == [arr]
+
+
+def test_point_counts_go_through_the_module(monkeypatch):
+    """The traced crosscheck counts `lattice.complement_count` by wrapping
+    the attributes cmarr.cli.complement_count and
+    cmarr.lattice.complement_count, and requires `lattice.count_calls` > 0;
+    so both the --threads path and char_poly_finite_field must look
+    complement_count up through those attributes, once per prime."""
+    arr = gen_coxeter_namikawa((4,))
+    primes = cmarr.lattice.admissible_primes(arr, arr.dim + 2)
+    real = cmarr.lattice.complement_count
+    for module, run in (
+            (cmarr.cli, lambda: cmarr.cli._counts_parallel(arr, primes, 2)),
+            (cmarr.lattice,
+             lambda: cmarr.lattice.char_poly_finite_field(arr, primes))):
+        calls = []
+
+        def counted(a, q):
+            calls.append(q)
+            return real(a, q)
+
+        monkeypatch.setattr(module, "complement_count", counted)
+        run()
+        assert sorted(calls) == primes, module.__name__

@@ -126,6 +126,72 @@ def test_complement_count_matches_brute_force(case):
     assert complement_count(arr, q) == _brute_force_count(arr, q)
 
 
+def _fiber_loop_count(arr, q):
+    """complement_count as it counted before the plane bitmasks: every
+    lead a fiber of the last coordinate at a time."""
+    d = arr.dim
+    if d == 0:
+        return 1
+    covs = [tuple(x % q for x in c) for c in arr.hyperplanes]
+    if not covs:
+        return q ** d
+    if d == 1:
+        return q - 1
+    # e_dim lies on a hyperplane iff its last coefficient vanishes mod q
+    total = 1 if all(c[d - 1] for c in covs) else 0
+    for lead in range(d - 1):
+        # point = (0,)*lead + (1,) + rest + (x,): the covector's value is
+        # c[lead] + sum c[lead+1+i]*rest[i] + c[d-1]*x
+        pre = []
+        for c in covs:
+            head = [(i, c[lead + 1 + i]) for i in range(d - 2 - lead)
+                    if c[lead + 1 + i]]
+            last = c[d - 1]
+            inv = pow(last, -1, q) if last else None
+            pre.append((c[lead], head, last, inv))
+        for rest in itertools.product(range(q), repeat=d - 2 - lead):
+            forbidden = set()
+            alive = True
+            for s, head, last, inv in pre:
+                for i, ci in head:
+                    s += ci * rest[i]
+                s %= q
+                if last:
+                    forbidden.add((-s * inv) % q)
+                elif s == 0:
+                    alive = False
+                    break
+            if alive:
+                total += q - len(forbidden)
+    return (q - 1) * total
+
+
+@st.composite
+def plane_counting_cases(draw):
+    """An integer arrangement of dim 4-6 and a prime q in {11, 13, 17, 23}
+    (dim 6 only with q <= 13, to keep the reference quick).  The y and x
+    coefficients (the last two) are often 0 or q, so lines, rows,
+    covectors cutting no (y, x) plane and dead prefixes all occur; some
+    covectors repeat a (y, x) pair, so prefixes share a line slope."""
+    d = draw(st.sampled_from([4, 5, 6]))
+    q = draw(st.sampled_from([11, 13] if d == 6 else [11, 13, 17, 23]))
+    pair = st.tuples(*[st.sampled_from([0, 0, q, 1, -1, 2, -3])] * 2)
+    pairs = draw(st.lists(pair, min_size=1, max_size=3))
+    vec = st.tuples(
+        st.lists(st.sampled_from([0, 0, 1, -1, 2, 5]), min_size=d - 2,
+                 max_size=d - 2),
+        st.sampled_from(pairs) | pair).map(lambda t: t[0] + list(t[1]))
+    return Arrangement(d, draw(st.lists(vec.filter(any), min_size=2,
+                                        max_size=6))), q
+
+
+@settings(deadline=None, max_examples=60)
+@given(plane_counting_cases())
+def test_complement_count_matches_fiber_loop(case):
+    arr, q = case
+    assert complement_count(arr, q) == _fiber_loop_count(arr, q)
+
+
 @pytest.mark.parametrize("arr,q,expected", [
     # e_2 = (0, 1) is off both lines: 25 - (5 + 5 - 1)
     (Arrangement(2, [(1, 1), (1, 2)]), 5, 16),
@@ -142,9 +208,15 @@ def test_complement_count_explicit_cases(arr, q, expected):
     assert complement_count(arr, q) == expected
 
 
-@pytest.mark.parametrize("arr", [gen_G8(), gen_wreath("A3", 4, 2)],
-                         ids=["G8", "wreath-A3-2"])
+@pytest.mark.parametrize("arr", [
+    gen_G8(), gen_wreath("A3", 4, 2), gen_coxeter_namikawa((6,)),
+    gen_coxeter_namikawa((3, 4)), gen_wreath("A4", 5, 2),
+], ids=["G8", "wreath-A3-2", "coxeter-S6", "coxeter-S3xS4", "wreath-A4-2"])
 def test_complement_count_is_mobius_chi(arr):
+    """At the admissible primes.  In the dim-5 cases covectors share
+    their last two coefficients (15 covectors have 7 distinct pairs on
+    coxeter-S6, 31 have 13 on wreath-A4-2), so every (y, x) plane repeats
+    the same line slopes and rows, and some covectors cut no plane."""
     chi = characteristic_polynomial(build_lattice(arr))
     for q in admissible_primes(arr, arr.dim + 2):
         assert complement_count(arr, q) == chi(q)
@@ -192,6 +264,25 @@ def test_admissible_primes_avoid_bad_set():
     primes = admissible_primes(arr, 4)
     assert len(primes) == 4
     assert not bad.intersection(primes)
+
+
+def test_bad_primes_factors_each_minor_gcd_once(monkeypatch):
+    """Three bases of e1, e2, e3, e1 + e3 and e1 + p e2 have every minor
+    divisible by the prime p = 1,000,003, each with gcd p; trial division
+    of p is the slow part, so p is factored once."""
+    p = 1000003
+    arr = Arrangement(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1),
+                          (1, p, 0)])
+    calls = []
+    real = lattice_mod._prime_factors
+
+    def counted(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(lattice_mod, "_prime_factors", counted)
+    assert bad_primes(arr) == {p}
+    assert calls == [p]
 
 
 def _bad_primes_all_sizes(arr):

@@ -8,7 +8,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmarr.lattice import Arrangement, build_lattice, whitney_numbers
+from cmarr.lattice import (Arrangement, _bits, build_lattice,
+                           whitney_numbers)
 from cmarr.generators import gen_G4, gen_G8, gen_dihedral_even, gen_wreath
 from cmarr.osalg import (FlatJoins, broken_circuits, circuits, nbc_basis,
                          os_dimension)
@@ -265,3 +266,24 @@ def test_circuits_golden(name):
     digest = hashlib.sha256(
         json.dumps(found, separators=(",", ":")).encode()).hexdigest()
     assert {"count": len(found), "sha256": digest} == CIRCUITS_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CIRCUITS_GOLDEN))
+def test_circuit_masks_match_tuples(name):
+    """`masks`, in the order the search finds them, and the sorted index
+    tuples of `circuits` are the same sets, with no repeats."""
+    cs = circuits(GOLDEN_BASES[name]())
+    assert len(cs) == len(cs.masks) == len(cs.circuits)
+    assert len(set(cs.masks)) == len(cs.masks)
+    assert sorted(tuple(_bits(m)) for m in cs.masks) == list(cs.circuits)
+    assert {sum(1 << h for h in c) for c in cs} == set(cs.masks)
+
+
+def test_nbc_basis_matches_definition_wreath_a3_2():
+    """Both ways nbc_basis reads a circuit mask's least and top element:
+    bit positions under the natural order, order positions otherwise."""
+    arr = gen_wreath("A3", 4, 2)
+    n = len(arr.hyperplanes)
+    for order in (tuple(range(n)), tuple(reversed(range(n)))):
+        assert nbc_basis(arr, order).sets_by_size == \
+            _brute_force_nbc(arr, order)
