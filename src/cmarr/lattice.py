@@ -6,9 +6,11 @@ polynomial, cross-validated against the Mobius-sum definition.
 
 import itertools
 from math import gcd
+from operator import mul
 
-from .errors import (BadPrime, DimensionMismatch, InconsistentCounts,
-                     LayoutMismatch, MobiusSignViolation, NotStable)
+from .errors import (BadPrime, DimensionMismatch, FlatNotInLattice,
+                     InconsistentCounts, LayoutMismatch, MobiusSignViolation,
+                     NotStable)
 # rref and in_row_span are unused here but stay bound in this module:
 # bench/trace_job.py wraps them by name.
 from .exactlin import (common_kernel, echelon_insert, in_row_span,  # noqa: F401
@@ -123,13 +125,46 @@ def _bits(mask):
 
 
 class IntersectionLattice:
-    __slots__ = ("arrangement", "flats", "by_rank", "bottom")
+    __slots__ = ("arrangement", "flats", "by_rank", "bottom", "_joins",
+                 "_rank", "_holding")
 
     def __init__(self, arrangement, flats, by_rank):
         self.arrangement = arrangement
         self.flats = flats
         self.by_rank = by_rank
         self.bottom = by_rank[0][0]
+        self._joins = {}
+        self._rank = None
+        self._holding = {}  # rank -> per hyperplane, the masks holding it
+
+    def joins(self, x):
+        """The tuple whose entry h is join(x, h), the least flat holding flat
+        x and hyperplane h (x itself when h is in x).  Built on the first
+        call per flat from masks alone: x's covers are the atoms when x is
+        the bottom, else the next rank's flats y with x & ~y == 0 among
+        those holding x's lowest hyperplane; each h outside x is in one."""
+        jx = self._joins.get(x)
+        if jx is not None:
+            return jx
+        if self._rank is None:
+            self._rank = {f.mask: f.rank for f in self.flats}
+        if x not in self._rank:
+            raise FlatNotInLattice("mask %#x is not a flat" % x)
+        jx = [x] * len(self.arrangement.hyperplanes)
+        r = self._rank[x] + 1
+        if r < len(self.by_rank):
+            if r not in self._holding:
+                self._holding[r] = [[] for _ in jx]
+                for f in self.by_rank[r]:
+                    for h in f.hyperplanes:
+                        self._holding[r][h].append(f.mask)
+            for y in self._holding[r][(x & -x).bit_length() - 1] if x \
+                    else [f.mask for f in self.by_rank[1]]:
+                if not x & ~y:
+                    for h in _bits(y & ~x):
+                        jx[h] = y
+        jx = self._joins[x] = tuple(jx)
+        return jx
 
 
 def flat_children(covs, x, rows):
@@ -353,61 +388,66 @@ def essentialize(arr):
 # finite-field fast path
 
 
-def _int_det(rows):
-    """Determinant of a small square integer matrix (Bareiss elimination)."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = None
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    swap = i
-                    break
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def lattice_of(arr, lattice=None):
+    """`lattice`, checked to be L(arr) itself, or a new build of L(arr)."""
+    if lattice is None:
+        return build_lattice(arr)
+    if lattice.arrangement is not arr:
+        raise FlatNotInLattice("lattice was built from another arrangement")
+    return lattice
 
 
-def bad_primes(arr):
+def bad_primes(arr, lattice=None):
     """Primes modulo which the covector matroid degenerates.
 
-    A prime q preserves every subset rank iff every Q-independent subset S
-    of covectors stays independent mod q, i.e. q does not divide the gcd of
-    the maximal minors of S; bases suffice, since S extends to one.  Returns
-    the primes dividing such a gcd for some basis (none below rank 2, as
-    covectors are primitive).  Point counts over any prime outside this set
-    follow the characteristic polynomial.
+    A prime keeps every subset rank iff it divides no basis's maximal-minor
+    gcd, the index of the basis's row lattice in its saturation.  For a flat X,
+    N_X its integer points, L_X the saturated lattice of covectors vanishing
+    on X and h not in X, the gcd d(X, h) of h.p over a Z-basis p of N_X is
+    the index [L_{X v h} : L_X + Z h].  Along the closures X_0 < ... < X_k
+    of a basis h_1..h_k these indices multiply to its minor gcd, and every
+    pair (X, h) occurs in some basis.  So the bad primes divide some d(X, h)
+    with 0 < rank X < rank A (d = 1 at the bottom: covectors are primitive);
+    each distinct d > 1 is factored once.  Point counts over any other
+    prime follow the characteristic polynomial.
     """
+    lat = lattice_of(arr, lattice)
     covs = arr.hyperplanes
-    k = arr.rank
+    d = arr.dim
+    shared = set()  # every d(X, h), and 0 for h in X
+    for level in lat.by_rank[1:-1]:
+        for f in level:
+            # N_X: kernel steps from the unit vectors to d - rank X vectors
+            basis = [[int(i == j) for j in range(d)] for i in range(d)]
+            for h in f.hyperplanes:
+                if len(basis) == d - f.rank:
+                    break
+                basis = _kernel_step(basis, covs[h])
+            shared.update(map(gcd, *([sum(map(mul, c, p)) for c in covs]
+                                     for p in basis)))
     bad = set()
-    if k < 2:
-        return bad
-    shared = set()  # the minor gcds above 1, each factored once
-    for idx in itertools.combinations(range(len(covs)), k):
-        sub = [covs[i] for i in idx]
-        g = 0
-        for cols in itertools.combinations(range(arr.dim), k):
-            det = _int_det([[row[c] for c in cols] for row in sub])
-            g = gcd(g, abs(det))
-            if g == 1:
-                break
-        if g > 1:
-            # a basis over Q whose minors all share a factor
-            shared.add(g)
-    for g in shared:
+    for g in shared - {0, 1}:
         bad |= _prime_factors(g)
     return bad
+
+
+def _kernel_step(basis, c):
+    """The Z-basis `basis` of some integer points cut to those where c
+    vanishes, by unimodular Euclid steps p, q <- q, p - k q on the values
+    under c, which leave one vector of value gcd and the others at 0."""
+    out = []
+    p = None
+    for q in basis:
+        b = sum(map(mul, c, q))
+        if p is None and b:
+            p, a = q, b
+            continue
+        while b:
+            k = a // b
+            p, q = q, [x - k * y for x, y in zip(p, q)]
+            a, b = b, a - k * b
+        out.append(q)
+    return out
 
 
 def _prime_factors(x):
@@ -424,24 +464,14 @@ def _prime_factors(x):
     return out
 
 
-def _is_prime(q):
-    if q < 2:
-        return False
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            return False
-        p += 1 if p == 2 else 2
-    return True
-
-
-def admissible_primes(arr, count):
-    """The `count` smallest primes admissible for finite-field counting."""
-    bad = bad_primes(arr)
+def admissible_primes(arr, count, lattice=None):
+    """The `count` smallest primes admissible for finite-field counting,
+    those outside `bad_primes(arr, lattice)`."""
+    bad = bad_primes(arr, lattice)
     out = []
     q = 2
     while len(out) < count:
-        if _is_prime(q) and q not in bad:
+        if q not in bad and _prime_factors(q) == {q}:
             out.append(q)
         q += 1
     return out
@@ -582,12 +612,13 @@ def _count_planes(covs, q):
     return total
 
 
-def char_poly_finite_field(arr, primes):
+def char_poly_finite_field(arr, primes, lattice=None):
     """Characteristic polynomial via point counts over several primes.
 
     Interpolates through the first dim+1 pairs (q, count) and checks the
     remaining primes against the interpolated polynomial, so a degenerate
-    prime that slipped through is caught rather than silently wrong.
+    prime that slipped through is caught rather than silently wrong.  The
+    primes are checked against `bad_primes(arr, lattice)`.
     """
     d = arr.dim
     primes = list(primes)
@@ -596,18 +627,24 @@ def char_poly_finite_field(arr, primes):
                          % (d + 1, len(primes)))
     if len(set(primes)) != len(primes):
         raise BadPrime("primes must be distinct")
-    bad = bad_primes(arr)
+    bad = bad_primes(arr, lattice)
     for q in primes:
-        if not _is_prime(q):
+        if _prime_factors(q) != {q}:
             raise BadPrime("%d is not prime" % q)
         if q in bad:
             raise BadPrime("%d divides a critical minor gcd" % q)
-    counts = [(q, complement_count(arr, q)) for q in primes]
-    coeffs = lagrange_interpolate(counts[:d + 1])
+    return _interpolate_counts(arr, primes,
+                               [complement_count(arr, q) for q in primes])
+
+
+def _interpolate_counts(arr, primes, counts):
+    """The polynomial through the first dim+1 pairs, checked on the rest."""
+    pairs = list(zip(primes, counts))
+    coeffs = lagrange_interpolate(pairs[:arr.dim + 1])
     if any(c.denominator != 1 for c in coeffs):
         raise InconsistentCounts("interpolant has non-integer coefficients")
     poly = IntPolynomial([int(c) for c in coeffs])
-    for q, cnt in counts[d + 1:]:
+    for q, cnt in pairs[arr.dim + 1:]:
         if poly(q) != cnt:
             raise InconsistentCounts(
                 "count at q=%d is %d, interpolant predicts %d"

@@ -6,8 +6,8 @@ the algebra itself is represented combinatorially through nbc sets.
 
 # rref is unused here but stays bound in this module: bench/trace_job.py
 # wraps it by name.
-from .exactlin import echelon_insert, rref  # noqa: F401
-from .lattice import _bits, flat_children
+from .exactlin import rref  # noqa: F401
+from .lattice import _bits, lattice_of
 
 
 class CircuitSet:
@@ -56,49 +56,15 @@ class NbcBasis:
         return sum(self.sizes)
 
 
-class FlatJoins:
-    """Joins of flats with hyperplanes, computed once per flat on demand.
-
-    A flat is the int bitmask of the hyperplanes containing it, as in
-    `lattice.build_lattice`.  `of(x)` is the tuple whose entry h is
-    join(x, h), the least flat containing x and hyperplane h (x itself when
-    h is in x).  It runs one `lattice.flat_children` step on x's echelon
-    rows, which are kept only until then; `joins` holds every flat whose
-    joins are known.
-    """
-
-    __slots__ = ("covs", "joins", "_rows")
-
-    def __init__(self, covs):
-        self.covs = covs
-        self.joins = {}
-        self._rows = {0: ()}
-
-    def of(self, x):
-        jx = self.joins.get(x)
-        if jx is None:
-            rows = self._rows.pop(x)
-            jx = [x] * len(self.covs)
-            for res, y in flat_children(self.covs, x, rows).items():
-                if y not in self.joins and y not in self._rows:
-                    self._rows[y] = echelon_insert(rows, res)
-                new = y & ~x
-                while new:
-                    low = new & -new
-                    jx[low.bit_length() - 1] = y
-                    new ^= low
-            jx = self.joins[x] = tuple(jx)
-        return jx
-
-
-def circuits(arr):
+def circuits(arr, lattice=None):
     """Minimal dependent subsets, found by a DFS over independent subsets.
 
-    No circuit exceeds rank+1 elements in a central arrangement.
+    No circuit exceeds rank+1 elements in a central arrangement.  Joins
+    are read off `lattice`, L(arr), built when absent.
     """
     n = len(arr.hyperplanes)
-    joins = FlatJoins(arr.hyperplanes).of
-    everything = (1 << n) - 1
+    joins = lattice_of(arr, lattice).joins
+    top = (1 << n) - 1  # the center lies on every hyperplane
     found = []
     # DFS over independent subsets I in increasing index order, each kept
     # as the bitmask `current`.  A node keeps the closure x = cl(I) and the
@@ -107,7 +73,8 @@ def circuits(arr):
     # independent, i.e. iff h lies in no cl(I - s); every circuit is met
     # exactly once this way (at I = circuit minus its largest element).  A
     # later h outside x extends I, and the child's closures are join(x, h)
-    # and join(cl(I - s), h) for each s, with cl(I) itself for s = h.
+    # and join(cl(I - s), h) for each s, with cl(I) itself for s = h.  A
+    # child closing to the top flat only emits circuits: that is inlined.
 
     def dfs(current, x, minus, start):
         later = -1 << start
@@ -118,7 +85,7 @@ def circuits(arr):
             low = closed & -closed
             found.append(current | low)
             closed ^= low
-        free = everything & ~x & later
+        free = top & ~x & later
         if not free:
             return
         jx = joins(x)
@@ -127,7 +94,16 @@ def circuits(arr):
             low = free & -free
             free ^= low
             h = low.bit_length() - 1
-            dfs(current | low, jx[h], [j[h] for j in jm] + [x], h + 1)
+            if jx[h] == top:
+                closed = top & ~x & -2 << h
+                for j in jm:
+                    closed &= ~j[h]
+                while closed:
+                    bit = closed & -closed
+                    found.append(current | low | bit)
+                    closed ^= bit
+            else:
+                dfs(current | low, jx[h], [j[h] for j in jm] + [x], h + 1)
 
     dfs(0, 0, [], 0)
     return CircuitSet(found)
@@ -143,14 +119,15 @@ def broken_circuits(circuit_set, order):
     return out
 
 
-def nbc_basis(arr, order=None):
+def nbc_basis(arr, order=None, lattice=None):
     """Enumerate the nbc sets of the arrangement under a hyperplane order.
 
     DFS over hyperplanes in order position, cutting a branch as soon as the
     set contains a broken circuit.  That also cuts every dependent set: it
     contains a circuit C, so the broken circuit C - min(C), found when the
-    order-largest element of C is added.
+    order-largest element of C is added.  `lattice` is L(arr) or None.
     """
+    lattice = lattice_of(arr, lattice)
     n = len(arr.hyperplanes)
     if order is None:
         order = tuple(range(n))
@@ -168,7 +145,7 @@ def nbc_basis(arr, order=None):
     # circuit with that top
     rest_by_top = {}
     natural = order == tuple(range(n))
-    for c in circuits(arr).masks:
+    for c in circuits(arr, lattice=lattice).masks:
         if natural:
             least = c & -c
             top = c.bit_length() - 1

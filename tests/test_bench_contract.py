@@ -12,11 +12,13 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import cmarr.cli
 import cmarr.lattice
 import cmarr.osalg
 from cmarr.cli import build_parser
-from cmarr.generators import gen_G8, gen_coxeter_namikawa
+from cmarr.generators import gen_G8, gen_coxeter_namikawa, gen_wreath
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACE_JOB = BENCH / "trace_job.py"
@@ -56,9 +58,9 @@ def test_nbc_basis_calls_circuits_through_the_module(monkeypatch):
     calls = []
     real = cmarr.osalg.circuits
 
-    def counted(arr):
+    def counted(arr, *args, **kwargs):
         calls.append(arr)
-        return real(arr)
+        return real(arr, *args, **kwargs)
 
     monkeypatch.setattr(cmarr.osalg, "circuits", counted)
     arr = gen_G8()
@@ -88,3 +90,30 @@ def test_point_counts_go_through_the_module(monkeypatch):
         monkeypatch.setattr(module, "complement_count", counted)
         run()
         assert sorted(calls) == primes, module.__name__
+
+
+@pytest.mark.parametrize("make, flags", [
+    (gen_G8, ["--os", "--threads", "2", "--stability", "--orbits",
+              "--ff-primes", "5"]),
+    (gen_G8, ["--poincare", "--os", "--ff-primes", "5"]),
+    (lambda: gen_wreath("A3", 4, 2), ["--os", "--os-basis"]),
+], ids=["G8-crosscheck", "G8-threads-1", "wreath-A3-2-os-basis"])
+def test_each_job_builds_one_lattice(monkeypatch, make, flags):
+    """Circuits, nbc sets, bad primes and the Mobius check all read the
+    lattice `run_analyze` builds: one `build_lattice` call per job, through
+    whichever module makes it."""
+    calls = []
+    real = cmarr.lattice.build_lattice
+
+    def counted(arr):
+        calls.append(arr)
+        return real(arr)
+
+    # osalg builds through cmarr.lattice today; raising=False also covers
+    # a build_lattice of its own
+    for module in (cmarr.cli, cmarr.lattice, cmarr.osalg):
+        monkeypatch.setattr(module, "build_lattice", counted, raising=False)
+    arr = make()
+    args = build_parser().parse_args(["analyze", "x.arr", *flags])
+    cmarr.cli.run_analyze(arr, args)
+    assert calls == [arr]

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import cmarr.lattice as lattice_mod
-from cmarr.errors import BadPrime, InconsistentCounts, MobiusSignViolation
+from cmarr.errors import (BadPrime, FlatNotInLattice, InconsistentCounts,
+                          MobiusSignViolation)
 from cmarr.exactlin import (common_kernel, in_row_span, normalize_covector,
                             rref)
 from cmarr.generators import (gen_G4, gen_G8, gen_coxeter_namikawa,
                               gen_cyclic, gen_dihedral_even, gen_wreath)
 from cmarr.intpoly import IntPolynomial
-from cmarr.lattice import (Arrangement, _int_det, _prime_factors,
+from cmarr.lattice import (Arrangement, _prime_factors,
                            admissible_primes, bad_primes,
                            build_lattice, char_poly_finite_field,
                            characteristic_polynomial, complement_count,
@@ -285,6 +286,52 @@ def test_bad_primes_factors_each_minor_gcd_once(monkeypatch):
     assert calls == [p]
 
 
+def _int_det(rows):
+    """Determinant of a small square integer matrix (Bareiss elimination)."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = None
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    swap = i
+                    break
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def _bad_primes_by_bases(arr):
+    """bad_primes as it scanned before the flats: the primes dividing the
+    gcd of the maximal minors of some basis, over every rank-sized subset
+    of the covectors."""
+    covs = arr.hyperplanes
+    k = arr.rank
+    bad = set()
+    if k < 2:
+        return bad
+    for idx in itertools.combinations(range(len(covs)), k):
+        g = 0
+        for cols in itertools.combinations(range(arr.dim), k):
+            g = gcd(g, abs(_int_det([[covs[i][c] for c in cols]
+                                     for i in idx])))
+            if g == 1:
+                break
+        if g > 1:
+            bad |= _prime_factors(g)
+    return bad
+
+
 def _bad_primes_all_sizes(arr):
     """bad_primes as it scanned before: independent subsets of every size
     from 2 to dim, not bases only."""
@@ -334,6 +381,35 @@ def degenerate_arrangements(draw):
 @given(degenerate_arrangements())
 def test_bad_primes_bases_match_all_sizes(arr):
     assert bad_primes(arr) == _bad_primes_all_sizes(arr)
+
+
+@settings(deadline=None, max_examples=150)
+@given(degenerate_arrangements())
+def test_bad_primes_match_basis_scan(arr):
+    assert bad_primes(arr) == _bad_primes_by_bases(arr)
+
+
+@pytest.mark.parametrize("arr, expected", [
+    (gen_G8(), {2, 3, 5, 7}),
+    (gen_coxeter_namikawa((6,)), {2, 3}),
+    (gen_wreath("A3", 4, 2), {2, 3}),
+    (gen_wreath("A3", 4, 3), {2, 3, 5, 7}),
+    (gen_wreath("A4", 5, 2), {2, 3, 5}),
+], ids=["G8", "coxeter-S6", "wreath-A3-2", "wreath-A3-3", "wreath-A4-2"])
+def test_bad_primes_golden(arr, expected):
+    assert bad_primes(arr) == expected
+    assert bad_primes(arr, lattice=build_lattice(arr)) == expected
+
+
+@pytest.mark.parametrize("run", [
+    lambda arr, lat: bad_primes(arr, lattice=lat),
+    lambda arr, lat: admissible_primes(arr, 4, lattice=lat)],
+    ids=["bad_primes", "admissible_primes"])
+def test_foreign_lattice_is_rejected(run):
+    arr = gen_G8()
+    # equal hyperplanes, but another object: the lattice is not arr's
+    with pytest.raises(FlatNotInLattice, match="another arrangement"):
+        run(arr, build_lattice(gen_G8()))
 
 
 def test_essentialize_preserves_combinatorics():

@@ -8,11 +8,11 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cmarr.errors import FlatNotInLattice
 from cmarr.lattice import (Arrangement, _bits, build_lattice,
                            whitney_numbers)
 from cmarr.generators import gen_G4, gen_G8, gen_dihedral_even, gen_wreath
-from cmarr.osalg import (FlatJoins, broken_circuits, circuits, nbc_basis,
-                         os_dimension)
+from cmarr.osalg import broken_circuits, circuits, nbc_basis, os_dimension
 from cmarr.exactlin import rank_of
 
 BOOLEAN2 = Arrangement(2, [(1, 0), (0, 1)])
@@ -216,18 +216,12 @@ def test_circuits_match_brute_force_with_parallel_copy(arr, data):
 
 
 def _assert_joins_match_lattice(arr):
-    """Drive a FlatJoins memo from the bottom flat until every join is
-    known: the masks it creates are exactly the flats of build_lattice(arr),
-    and each join(x, h) is the least flat containing x and h, by a scan."""
-    flats = [f.mask for f in build_lattice(arr).flats]
-    memo = FlatJoins(arr.hyperplanes)
-    todo = [0]
-    while todo:
-        for y in memo.of(todo.pop()):
-            if y not in memo.joins and y not in todo:
-                todo.append(y)
-    assert sorted(memo.joins) == sorted(flats)
-    for x, jx in memo.joins.items():
+    """For every flat x of L(arr), each entry h of `joins(x)` is the least
+    flat containing x and h, by a scan of the flats."""
+    lat = build_lattice(arr)
+    flats = [f.mask for f in lat.flats]
+    for x in flats:
+        jx = lat.joins(x)
         assert len(jx) == len(arr.hyperplanes)
         above_x = [f for f in flats if f & x == x]
         for h, y in enumerate(jx):
@@ -247,6 +241,31 @@ def test_joins_match_lattice(corpus):
 @given(nbc_cases())
 def test_joins_match_lattice_random(case):
     _assert_joins_match_lattice(case[0])
+
+
+def test_joins_reject_a_mask_that_is_no_flat():
+    lat = build_lattice(CONCURRENT3)
+    assert lat.joins(0b001) == (0b001, 0b111, 0b111)
+    with pytest.raises(FlatNotInLattice):
+        lat.joins(0b011)
+
+
+def test_circuits_and_nbc_basis_read_the_lattice_handed_in():
+    arr = gen_G8()
+    lat = build_lattice(arr)
+    assert circuits(arr, lattice=lat).masks == circuits(arr).masks
+    assert nbc_basis(arr, lattice=lat).total == 336
+    assert lat.joins(0) is lat.joins(0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda arr, lat: circuits(arr, lattice=lat),
+    lambda arr, lat: nbc_basis(arr, lattice=lat)], ids=["circuits", "nbc"])
+def test_foreign_lattice_is_rejected(run):
+    arr = gen_G8()
+    # equal hyperplanes, but another object: the lattice is not arr's
+    with pytest.raises(FlatNotInLattice, match="another arrangement"):
+        run(arr, build_lattice(gen_G8()))
 
 
 CIRCUITS_GOLDEN = json.loads(
