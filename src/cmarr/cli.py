@@ -16,7 +16,8 @@ from .freeness import (DEFAULT_BUDGET, exponents_from_poincare,
 from .generators import (default_group_order, gen_G4, gen_G8,
                          gen_coxeter_namikawa, gen_cyclic, gen_dihedral_even,
                          gen_wreath)
-# bench/trace_job.py wraps _interpolate_counts by its name here
+# _interpolate_counts, complement_count and _counts_parallel go unused, but
+# bench/trace_job.WRAPS and test_bench_contract name them (ROADMAP dir. 3)
 from .lattice import (_interpolate_counts, admissible_primes, build_lattice,
                       characteristic_polynomial, complement_count,
                       char_poly_finite_field, poincare_polynomial)
@@ -152,11 +153,8 @@ def run_analyze(arr, args):
             print("warning: raised prime count to dim+1 = %d" % k,
                   file=sys.stderr)
         primes = admissible_primes(arr, k, lattice=lattice())
-        if args.threads > 1:
-            counts = _counts_parallel(arr, primes, args.threads)
-            ff = _interpolate_counts(arr, primes, counts)
-        else:
-            ff = char_poly_finite_field(arr, primes, lattice=lattice())
+        # one thread whatever --threads says: the counts hold the GIL
+        ff = char_poly_finite_field(arr, primes, lattice=lattice())
         chi = characteristic_polynomial(lattice())
         if ff != chi:
             raise InconsistentCounts(
@@ -171,7 +169,6 @@ def run_analyze(arr, args):
 
 
 def _counts_parallel(arr, primes, threads):
-    # imported here: the pool costs start-up time that only --threads > 1 uses
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda q: complement_count(arr, q), primes))

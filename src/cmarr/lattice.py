@@ -125,13 +125,20 @@ def _bits(mask):
 
 
 class IntersectionLattice:
-    __slots__ = ("arrangement", "flats", "by_rank", "bottom", "_joins",
-                 "_rank", "_holding")
+    """The flats of an arrangement, per rank and in one list.
 
-    def __init__(self, arrangement, flats, by_rank):
+    `representatives[r]` holds one mask per W-orbit of rank-r flats, the
+    flats `build_lattice` reduced; under the trivial group, every flat.
+    """
+
+    __slots__ = ("arrangement", "flats", "by_rank", "bottom",
+                 "representatives", "_joins", "_rank", "_holding")
+
+    def __init__(self, arrangement, flats, by_rank, representatives):
         self.arrangement = arrangement
         self.flats = flats
         self.by_rank = by_rank
+        self.representatives = representatives
         self.bottom = by_rank[0][0]
         self._joins = {}
         self._rank = None
@@ -271,6 +278,7 @@ def build_lattice(arr):
     gens = _generator_tables(arr)
     by_rank = [[Flat(arr, 0, 0, 1)]]
     reps = [(0, (), 1, 1)]  # (mask, echelon rows, orbit size, mu)
+    rep_masks = [(0,)]
     while True:
         orbit_of = {}
         orbits = []  # [mask, rows, size, weighted sum of cover terms]
@@ -304,8 +312,9 @@ def build_lattice(arr):
             f._fill(arr, y, bits_of[y], r, reps[orbit_of[y]][3])
             level.append(f)
         by_rank.append(level)
+        rep_masks.append(tuple(y for y, *_ in reps))
     flats = [f for lvl in by_rank for f in lvl]
-    return IntersectionLattice(arr, flats, by_rank)
+    return IntersectionLattice(arr, flats, by_rank, tuple(rep_masks))
 
 
 def mobius_by_rank(levels):
@@ -410,17 +419,27 @@ def bad_primes(arr, lattice=None):
     with 0 < rank X < rank A (d = 1 at the bottom: covectors are primitive);
     each distinct d > 1 is factored once.  Point counts over any other
     prime follow the characteristic polynomial.
+
+    Only the flats in `lat.representatives`, one per W-orbit, are scanned.
+    A block generator g of a stable layout acts on covectors by an integer
+    map of finite order (a coordinate permutation modulo (1, ..., 1)), so
+    its inverse is integral too and g is unimodular.  Acting on points by
+    the inverse transpose, g keeps every pairing, (g c).(g p) = c.p, and so
+    maps N_X onto N_gX; hence d(gX, gh) = d(X, h), whatever sign the
+    normalized gh takes.  g permutes the hyperplanes, so the flats of one
+    orbit give the same set of indices d(X, h) and the representatives
+    give them all.
     """
     lat = lattice_of(arr, lattice)
     covs = arr.hyperplanes
     d = arr.dim
     shared = set()  # every d(X, h), and 0 for h in X
-    for level in lat.by_rank[1:-1]:
-        for f in level:
+    for r, level in enumerate(lat.representatives[1:-1], 1):
+        for x in level:
             # N_X: kernel steps from the unit vectors to d - rank X vectors
             basis = [[int(i == j) for j in range(d)] for i in range(d)]
-            for h in f.hyperplanes:
-                if len(basis) == d - f.rank:
+            for h in _bits(x):
+                if len(basis) == d - r:
                     break
                 basis = _kernel_step(basis, covs[h])
             shared.update(map(gcd, *([sum(map(mul, c, p)) for c in covs]

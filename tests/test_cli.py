@@ -335,21 +335,35 @@ def test_help_exits_0(capsys):
     assert code == 0 and out.startswith("usage: cmarr analyze")
 
 
-# Modules a fresh `import cmarr.cli` must not load: only --threads > 1 needs
-# concurrent.futures, only table1_rows reads a bundled file, and the rest
-# come with dataclasses or typing.
+# Modules a fresh `import cmarr.cli` must not load: only the unused
+# _counts_parallel imports concurrent.futures, only table1_rows reads a
+# bundled file, and the rest come with dataclasses or typing.
 UNLOADED_BY_CLI_IMPORT = ("concurrent.futures", "dataclasses", "inspect",
                           "ast", "typing", "importlib.resources")
 
 
-def test_cli_import_leaves_thread_pool_unloaded():
+def _loaded_after(statement, modules):
+    """The names in `modules` that `import cmarr.cli` followed by
+    `statement` leaves in sys.modules of a fresh interpreter."""
     # -S: modules that site's .pth files preload would hide an import
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, cmarr.cli; print(' '.join(m for m in %r "
-            "if m in sys.modules))" % (UNLOADED_BY_CLI_IMPORT,))
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
-                         check=True, capture_output=True, text=True,
-                         timeout=60).stdout
-    assert out.split() == []
+    code = ("import sys, cmarr.cli\n%s\nprint(' '.join(m for m in %r "
+            "if m in sys.modules), file=sys.stderr)" % (statement, modules))
+    return subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          check=True, capture_output=True, text=True,
+                          timeout=60).stderr.split()
+
+
+def test_cli_import_leaves_thread_pool_unloaded():
+    assert _loaded_after("", UNLOADED_BY_CLI_IMPORT) == []
+
+
+def test_threads_job_leaves_thread_pool_unloaded(tmp_path):
+    """--threads 2 counts points in the one thread, as --threads 1 does."""
+    path = tmp_path / "g8.arr"
+    path.write_text(emit_arrangement(gen_G8()))
+    job = ("assert cmarr.cli.main(['analyze', %r, '--threads', '2', "
+           "'--ff-primes', '5', '--json']) == 0" % str(path))
+    assert _loaded_after(job, ("concurrent.futures",)) == []

@@ -395,7 +395,10 @@ def test_bad_primes_match_basis_scan(arr):
     (gen_wreath("A3", 4, 2), {2, 3}),
     (gen_wreath("A3", 4, 3), {2, 3, 5, 7}),
     (gen_wreath("A4", 5, 2), {2, 3, 5}),
-], ids=["G8", "coxeter-S6", "wreath-A3-2", "wreath-A3-3", "wreath-A4-2"])
+    # the same covectors without a layout: every flat scanned, no orbits
+    (Arrangement(5, gen_wreath("A4", 5, 2).hyperplanes), {2, 3, 5}),
+], ids=["G8", "coxeter-S6", "wreath-A3-2", "wreath-A3-3", "wreath-A4-2",
+        "wreath-A4-2-no-weyl"])
 def test_bad_primes_golden(arr, expected):
     assert bad_primes(arr) == expected
     assert bad_primes(arr, lattice=build_lattice(arr)) == expected
@@ -600,7 +603,15 @@ def test_orbit_build_matches_plain_random(arr):
     _assert_matches_plain(arr)
 
 
+@settings(deadline=None, max_examples=40)
+@given(symmetric_arrangements())
+def test_bad_primes_on_orbits_match_basis_scan(arr):
+    """bad_primes scans one flat per W-orbit; the basis scan sees no W."""
+    assert bad_primes(arr) == _bad_primes_by_bases(arr)
+
+
 def _flat_children_calls(monkeypatch, arr):
+    """The masks build_lattice hands to flat_children, and the lattice."""
     calls = []
     real = lattice_mod.flat_children
 
@@ -609,8 +620,7 @@ def _flat_children_calls(monkeypatch, arr):
         return real(covs, x, rows)
 
     monkeypatch.setattr(lattice_mod, "flat_children", counting)
-    lat = build_lattice(arr)
-    return len(calls), len(lat.flats)
+    return calls, build_lattice(arr)
 
 
 @pytest.mark.parametrize("make, orbits", [
@@ -618,15 +628,20 @@ def _flat_children_calls(monkeypatch, arr):
     (lambda: gen_wreath("A3", 4, 3), 39),
     (gen_G8, 14)])
 def test_orbit_build_reduces_one_flat_per_orbit(monkeypatch, make, orbits):
-    calls, flats = _flat_children_calls(monkeypatch, make())
-    assert calls == orbits < flats
+    calls, lat = _flat_children_calls(monkeypatch, make())
+    assert len(calls) == orbits < len(lat.flats)
+    # the representatives are the flats reduced, rank by rank
+    assert len(lat.representatives) == len(lat.by_rank)
+    assert [x for level in lat.representatives for x in level] == calls
 
 
 @pytest.mark.parametrize("make", [
     _g8_minus_one, lambda: _g8_layout((3,)), lambda: _g8_layout(None)])
 def test_plain_build_reduces_every_flat(monkeypatch, make):
-    calls, flats = _flat_children_calls(monkeypatch, make())
-    assert calls == flats
+    calls, lat = _flat_children_calls(monkeypatch, make())
+    assert len(calls) == len(lat.flats)
+    assert [sorted(level) for level in lat.representatives] == [
+        sorted(f.mask for f in level) for level in lat.by_rank]
 
 
 def test_wreath_a4_3_golden():
