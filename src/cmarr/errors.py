@@ -66,8 +66,10 @@ class InvalidN(CmarrError):
     """Wreath product symmetric-group degree below 2."""
 
 
-class InvalidParams(CmarrError):
-    """Generator parameters inconsistent or out of range."""
+class InvalidParams(CmarrError, ValueError):
+    """Arguments inconsistent or out of range: generator parameters, CLI
+    options, or a library call's tags, primes, budget or hyperplane
+    order."""
 
 
 class LayoutMismatch(CmarrError):

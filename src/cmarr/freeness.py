@@ -10,7 +10,8 @@ chains for the addition-deletion triple.
 from collections import namedtuple
 
 from .errors import (DimensionMismatch, ExponentMismatch, FlatNotInLattice,
-                     IndexOutOfRange, InexactDivision, MalformedPolynomial)
+                     IndexOutOfRange, InexactDivision, InvalidParams,
+                     MalformedPolynomial)
 # common_kernel and restrict_covectors_to are unused here but stay bound in
 # this module: bench/trace_job.py wraps them by name.
 from .exactlin import (common_kernel, echelon, reduce_covector,  # noqa: F401
@@ -221,7 +222,7 @@ def inductive_freeness(arr, budget=DEFAULT_BUDGET, lattice=None):
     be L(arr); the root node then uses it instead of building its own.
     """
     if budget <= 0:
-        raise ValueError("budget must be positive")
+        raise InvalidParams("budget must be positive")
     if lattice is not None and lattice.arrangement is not arr:
         raise FlatNotInLattice("lattice was built from another arrangement")
     memo = {}

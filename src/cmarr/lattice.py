@@ -9,8 +9,8 @@ from math import gcd
 from operator import mul
 
 from .errors import (BadPrime, DimensionMismatch, FlatNotInLattice,
-                     InconsistentCounts, LayoutMismatch, MobiusSignViolation,
-                     NotStable)
+                     InconsistentCounts, InvalidParams, LayoutMismatch,
+                     MobiusSignViolation, NotStable)
 # rref and in_row_span are unused here but stay bound in this module:
 # bench/trace_job.py wraps them by name.
 from .exactlin import (common_kernel, echelon_insert, in_row_span,  # noqa: F401
@@ -36,8 +36,8 @@ class Arrangement:
         seen = set()
         covectors = list(covectors)
         if tags is not None and len(tags) != len(covectors):
-            raise ValueError("tags length %d != covector count %d"
-                             % (len(tags), len(covectors)))
+            raise InvalidParams("tags length %d != covector count %d"
+                                % (len(tags), len(covectors)))
         for i, c in enumerate(covectors):
             if len(c) != self.dim:
                 raise DimensionMismatch(
@@ -499,14 +499,26 @@ def admissible_primes(arr, count, lattice=None):
 def complement_count(arr, q):
     """Number of points of F_q^dim lying on none of the hyperplanes.
 
-    A central arrangement's complement misses 0 and is stable under
-    scaling by F_q^*, so the count is (q - 1) times the number of
-    complement points whose first nonzero coordinate is 1.  Those are the
-    points (0,)*lead + (1,) + rest, lead < dim - 1, plus the single point
-    e_dim.  With dim > 3, each lead < dim - 3 has q^(dim-3-lead) prefixes
-    before the last two coordinates, each counted a (y, x) plane at a time
-    by `_count_planes`; the other leads are counted a fiber of the last
-    coordinate at a time by `_count_fibers`.
+    With dim >= 2 a point is a prefix in F_q^(dim-2) followed by a point
+    (y, x) of the last two coordinates, and the points over one prefix are
+    counted a (y, x) plane at a time.  A central arrangement's complement
+    is stable under scaling by F_q^*, so a nonzero prefix is normalized to
+    (0,)*lead + (1,) + rest, lead < dim - 2, and its plane counts q - 1
+    times; the zero prefix's plane counts once, and its origin lies on
+    every hyperplane.
+
+    A plane is an int with "doubled rows": point (y, x) is bit y*2q + x,
+    and bits y*2q + q .. y*2q + 2q - 1 are spare.  At a prefix where a
+    covector takes the value s, it cuts the plane along the line
+    x = alpha + beta*y when its x coefficient is nonzero, along the row
+    y = gamma when only its y coefficient is, and otherwise nowhere
+    (s != 0) or everywhere (s == 0, a dead prefix).  The base of slope
+    beta holds bits y*2q + (beta*y mod q) and the same bit + q, so
+    base >> (q - alpha) has bit y*2q + (alpha + beta*y mod q) in the low q
+    bits of each row, and `low` keeps those bits; the line cuts are built
+    once per distinct beta.  Each covector's cuts form a table indexed by
+    s, built once per distinct (y, x) coefficient pair, and a plane's
+    count is q^2 minus the bits of the union of its cuts.
     """
     d = arr.dim
     if d == 0:
@@ -516,119 +528,47 @@ def complement_count(arr, q):
         return q ** d
     if d == 1:
         return q - 1
-    # e_dim lies on a hyperplane iff its last coefficient vanishes mod q
-    total = 1 if all(c[d - 1] for c in covs) else 0
-    if d > 3:
-        total += _count_planes(covs, q)
-    for lead in range(max(d - 3, 0), d - 1):
-        total += _count_fibers(covs, q, lead)
-    return (q - 1) * total
-
-
-def _count_fibers(covs, q, lead):
-    """Complement points (0,)*lead + (1,) + rest + (x,), rest in
-    F_q^(dim-2-lead): over each rest, q minus the forbidden values of x."""
-    d = len(covs[0])
-    total = 0
-    # the covector's value is c[lead] + sum c[lead+1+i]*rest[i] + c[d-1]*x
-    pre = []
-    for c in covs:
-        head = [(i, c[lead + 1 + i]) for i in range(d - 2 - lead)
-                if c[lead + 1 + i]]
-        last = c[d - 1]
-        inv = pow(last, -1, q) if last else None
-        pre.append((c[lead], head, last, inv))
-    for rest in itertools.product(range(q), repeat=d - 2 - lead):
-        forbidden = set()
-        alive = True
-        for s, head, last, inv in pre:
-            for i, ci in head:
-                s += ci * rest[i]
-            s %= q
-            if last:
-                forbidden.add((-s * inv) % q)
-            elif s == 0:
-                alive = False
-                break
-        if alive:
-            total += q - len(forbidden)
-    return total
-
-
-def _count_planes(covs, q):
-    """Complement points (0,)*lead + (1,) + rest + (y, x) over every lead
-    < dim - 3, rest in F_q^(dim-3-lead), one (y, x) plane per prefix.
-
-    A plane is an int with "doubled rows": point (y, x) is bit y*2q + x,
-    and bits y*2q + q .. y*2q + 2q - 1 are spare.  At a prefix where a
-    covector takes the value s, it cuts the plane along the line
-    x = alpha + beta*y when its x coefficient is nonzero, along the row
-    y = gamma when only its y coefficient is, and otherwise nowhere
-    (s != 0) or everywhere (s == 0, a dead prefix).  base[beta] holds bits
-    y*2q + (beta*y mod q) and the same bit + q, so base[beta] >> (q - alpha)
-    has bit y*2q + (alpha + beta*y mod q) in the low q bits of each row,
-    and `low` keeps those bits.  beta depends on the covector only, so a
-    base is built once per distinct beta and shared by every prefix; the
-    prefix count is q^2 minus the bits of the union of the cuts.
-    """
-    d = len(covs[0])
     width = 2 * q
     full_row = (1 << q) - 1
     # bit y*2q for every row y is (2^(2q*q) - 1) / (2^(2q) - 1)
     low = ((1 << width * q) - 1) // ((1 << width) - 1) * full_row
-    bases = {}
-    lines, rows, constant = [], [], []
-    for c in covs:
-        cy, cx = c[d - 2], c[d - 1]
+    lines = {}  # beta -> the line cuts, by alpha
+    tables = {}
+    for cy, cx in {c[d - 2:] for c in covs}:
         if cx:
             neg = -pow(cx, -1, q) % q
             beta = cy * neg % q
-            if beta not in bases:
+            if beta not in lines:
                 base = 0
                 for y in range(q):
                     base |= (1 | 1 << q) << (y * width + beta * y % q)
-                bases[beta] = base
-            lines.append((c, neg, bases[beta]))
+                lines[beta] = [base >> (q - a) & low for a in range(q)]
+            # alpha = s * neg = -s/cx
+            table = [lines[beta][s * neg % q] for s in range(q)]
         elif cy:
-            rows.append((c, -pow(cy, -1, q) % q))
+            neg = -pow(cy, -1, q) % q
+            table = [full_row << width * (s * neg % q) for s in range(q)]
         else:
-            constant.append((c,))
-
-    def at(lead, group):
-        # per covector: its value at the lead, its nonzero prefix
-        # coefficients (i, c[lead+1+i]) and the rest of its entry
-        m = d - 3 - lead
-        return [(c[lead], [(i, c[lead + 1 + i]) for i in range(m)
-                           if c[lead + 1 + i]], *more)
-                for c, *more in group]
-
+            table = [low] + [0] * (q - 1)
+        tables[cy, cx] = table
     total = 0
-    for lead in range(d - 3):
-        pre_lines = at(lead, lines)
-        pre_rows = at(lead, rows)
-        pre_constant = at(lead, constant)
+    for lead in range(d - 2):
+        # per covector: its value at the lead, its nonzero coefficients
+        # (i, c[lead+1+i]) on rest, and its table
+        pre = [(c[lead], [(i, c[lead + 1 + i]) for i in range(d - 3 - lead)
+                          if c[lead + 1 + i]], tables[c[d - 2:]])
+               for c in covs]
         for rest in itertools.product(range(q), repeat=d - 3 - lead):
-            dead = False
-            for s, head in pre_constant:
-                for i, ci in head:
-                    s += ci * rest[i]
-                if s % q == 0:
-                    dead = True
-                    break
-            if dead:
-                continue
             cut = 0
-            for s, head, neg, base in pre_lines:
+            for s, head, table in pre:
                 for i, ci in head:
                     s += ci * rest[i]
-                # alpha = s * neg = -s/cx
-                cut |= base >> q - s * neg % q
-            for s, head, neg in pre_rows:
-                for i, ci in head:
-                    s += ci * rest[i]
-                cut |= full_row << width * (s * neg % q)
-            total += q * q - (cut & low).bit_count()
-    return total
+                cut |= table[s % q]
+            total += q * q - cut.bit_count()
+    cut = 0
+    for table in tables.values():
+        cut |= table[0]
+    return (q - 1) * total + q * q - cut.bit_count()
 
 
 def char_poly_finite_field(arr, primes, lattice=None):
@@ -642,8 +582,8 @@ def char_poly_finite_field(arr, primes, lattice=None):
     d = arr.dim
     primes = list(primes)
     if len(primes) < d + 1:
-        raise ValueError("need at least dim+1 = %d primes, got %d"
-                         % (d + 1, len(primes)))
+        raise InvalidParams("need at least dim+1 = %d primes, got %d"
+                            % (d + 1, len(primes)))
     if len(set(primes)) != len(primes):
         raise BadPrime("primes must be distinct")
     bad = bad_primes(arr, lattice)

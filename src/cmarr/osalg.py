@@ -6,6 +6,7 @@ the algebra itself is represented combinatorially through nbc sets.
 
 # rref is unused here but stays bound in this module: bench/trace_job.py
 # wraps it by name.
+from .errors import InvalidParams
 from .exactlin import rref  # noqa: F401
 from .lattice import _bits, lattice_of
 
@@ -133,7 +134,7 @@ def nbc_basis(arr, order=None, lattice=None):
         order = tuple(range(n))
     order = tuple(order)
     if sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of 0..%d" % (n - 1))
+        raise InvalidParams("order must be a permutation of 0..%d" % (n - 1))
     rank = arr.rank
     pos = [0] * n
     for i, h in enumerate(order):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import cmarr.lattice as lattice_mod
-from cmarr.errors import (BadPrime, FlatNotInLattice, InconsistentCounts,
-                          MobiusSignViolation)
+from cmarr.errors import (BadPrime, CmarrError, FlatNotInLattice,
+                          InconsistentCounts, MobiusSignViolation)
 from cmarr.exactlin import (common_kernel, in_row_span, normalize_covector,
                             rref)
+from cmarr.freeness import inductive_freeness
 from cmarr.generators import (gen_G4, gen_G8, gen_coxeter_namikawa,
                               gen_cyclic, gen_dihedral_even, gen_wreath)
 from cmarr.intpoly import IntPolynomial
@@ -18,6 +19,7 @@ from cmarr.lattice import (Arrangement, _prime_factors,
                            characteristic_polynomial, complement_count,
                            essentialize, mobius_by_rank,
                            poincare_polynomial, whitney_numbers)
+from cmarr.osalg import nbc_basis
 from cmarr.symmetry import (block_generators, is_stable,
                             terminalization_count)
 
@@ -128,8 +130,9 @@ def test_complement_count_matches_brute_force(case):
 
 
 def _fiber_loop_count(arr, q):
-    """complement_count as it counted before the plane bitmasks: every
-    lead a fiber of the last coordinate at a time."""
+    """Complement points counted on projective representatives, every lead
+    a fiber of the last coordinate at a time: an independent reference for
+    the (y, x) planes of complement_count."""
     d = arr.dim
     if d == 0:
         return 1
@@ -169,12 +172,13 @@ def _fiber_loop_count(arr, q):
 
 @st.composite
 def plane_counting_cases(draw):
-    """An integer arrangement of dim 4-6 and a prime q in {11, 13, 17, 23}
+    """An integer arrangement of dim 2-6 and a prime q in {11, 13, 17, 23}
     (dim 6 only with q <= 13, to keep the reference quick).  The y and x
     coefficients (the last two) are often 0 or q, so lines, rows,
-    covectors cutting no (y, x) plane and dead prefixes all occur; some
-    covectors repeat a (y, x) pair, so prefixes share a line slope."""
-    d = draw(st.sampled_from([4, 5, 6]))
+    covectors cutting no (y, x) plane and dead prefixes, the zero prefix
+    among them, all occur; some covectors repeat a (y, x) pair, so they
+    share a table."""
+    d = draw(st.sampled_from([2, 3, 4, 5, 6]))
     q = draw(st.sampled_from([11, 13] if d == 6 else [11, 13, 17, 23]))
     pair = st.tuples(*[st.sampled_from([0, 0, q, 1, -1, 2, -3])] * 2)
     pairs = draw(st.lists(pair, min_size=1, max_size=3))
@@ -198,12 +202,15 @@ def test_complement_count_matches_fiber_loop(case):
     (Arrangement(2, [(1, 1), (1, 2)]), 5, 16),
     # e_3 lies on (1, 2, 5), whose last coefficient vanishes mod 5
     (Arrangement(3, [(1, 2, 5), (0, 1, 1)]), 5, 80),
+    # (1, 5, 0) vanishes on both last coordinates mod 5, so the plane of
+    # the zero prefix is dead
+    (Arrangement(3, [(1, 5, 0), (0, 1, 1)]), 5, 80),
     (Arrangement(3, []), 5, 125),
     (Arrangement(0, []), 7, 1),
     (Arrangement(1, [(3,)]), 7, 6),
     (Arrangement(1, []), 7, 7),
-], ids=["e2-in-complement", "e3-on-hyperplane", "empty-dim3", "dim0",
-        "dim1", "empty-dim1"])
+], ids=["e2-in-complement", "e3-on-hyperplane", "zero-prefix-dead",
+        "empty-dim3", "dim0", "dim1", "empty-dim1"])
 def test_complement_count_explicit_cases(arr, q, expected):
     assert _brute_force_count(arr, q) == expected
     assert complement_count(arr, q) == expected
@@ -245,6 +252,18 @@ def test_ff_rejects_nonprime():
 def test_ff_needs_dim_plus_one_primes():
     with pytest.raises(ValueError):
         char_poly_finite_field(BOOLEAN2, [5, 7])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Arrangement(2, [(1, 0), (0, 1)], tags=["T"]),
+    lambda: char_poly_finite_field(BOOLEAN2, [5, 7]),
+    lambda: inductive_freeness(BOOLEAN2, budget=0),
+    lambda: nbc_basis(BOOLEAN2, order=(0, 0)),
+], ids=["tags-length", "too-few-primes", "budget", "nbc-order"])
+def test_argument_errors_are_cmarr_errors(call):
+    """A caller catching CmarrError also catches a bad argument."""
+    with pytest.raises(CmarrError):
+        call()
 
 
 def test_ff_detects_inconsistent_counts(monkeypatch):

@@ -46,3 +46,32 @@ def test_imports_are_used():
                 if name not in read and (path.stem, name) not in wrapped:
                     unused.append("%s:%d %s" % (path.name, node.lineno, name))
     assert unused == []
+
+
+def test_private_functions_are_read():
+    # a module-level private function or class that no other code in
+    # src/cmarr reads, and that bench/trace_job.py does not wrap, is dead
+    wrapped = _wrapped_names()
+    private = []
+    readers = {}  # name -> {(file, top-level definition reading it)}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) \
+                    and owner.startswith("_"):
+                private.append((path, top.lineno, owner))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) \
+                        and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                readers.setdefault(name, set()).add((path.name, owner))
+    unread = ["%s:%d %s" % (path.name, line, name)
+              for path, line, name in private
+              if (path.stem, name) not in wrapped
+              and not readers.get(name, set()) - {(path.name, name)}]
+    assert unread == []
