@@ -16,7 +16,7 @@ form); parse o emit is the identity on canonical files.
 
 from fractions import Fraction
 
-from .errors import EmptyBody, ParseError, ZeroCovector
+from .errors import EmptyBody, InvalidParams, ParseError, ZeroCovector
 from .generators import project_zero_sum
 from .lattice import Arrangement
 
@@ -26,10 +26,10 @@ def parse_weyl_token(token):
     blocks = []
     for p in parts:
         if not p.startswith("S") or not p[1:].isdigit():
-            raise ValueError("bad weyl factor %r" % p)
+            raise InvalidParams("bad weyl factor %r" % p)
         m = int(p[1:])
         if m < 1:
-            raise ValueError("weyl factor size must be >= 1")
+            raise InvalidParams("weyl factor size must be >= 1")
         blocks.append(m)
     return tuple(blocks)
 

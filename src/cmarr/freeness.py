@@ -214,12 +214,17 @@ def inductive_freeness(arr, budget=DEFAULT_BUDGET, lattice=None):
 
     The triple (A, A' = deletion, A'' = restriction) certifies A when both
     A' and A'' are inductively free and exp(A'') is a sub-multiset of
-    exp(A'); then exp(A) = exp(A'') + {|A| - |A''|}.  Exponent multisets
-    include a 0 for each dimension the sub-arrangement fails to be
-    essential.  Candidate hyperplanes are filtered through the exponents of
-    the Poincare factorization (|A| - |A''| must itself be an exponent) and
-    tried with the largest restriction first.  A `lattice` handed in must
-    be L(arr); the root node then uses it instead of building its own.
+    exp(A'); then exp(A) = exp(A'') + {|A| - |A''|}.  Candidate hyperplanes
+    are filtered through the exponents of the Poincare factorization
+    (|A| - |A''| must itself be an exponent) and tried with the largest
+    restriction first.  A `lattice` handed in must be L(arr); the root node
+    then uses it instead of building its own.
+
+    Every search node is essential, so its rank is its dim.  The root is
+    essentialized.  `restriction` maps V* onto H* with kernel span(a_h), so
+    a spanning set of covectors still spans.  A' has rank deg p(A'), below
+    dim only when h is a coloop; that deletion alone is essentialized, and
+    exp(A') gets a 0 for the rank it lost.
     """
     if budget <= 0:
         raise InvalidParams("budget must be positive")
@@ -231,17 +236,6 @@ def inductive_freeness(arr, budget=DEFAULT_BUDGET, lattice=None):
     verdict = _inductive(ess, memo, bud, lat=lattice)
     verdict.nodes_used = bud.used
     return verdict
-
-
-def _exponents_padded(arr, memo, bud, known=None):
-    """Verdict for a possibly non-essential arrangement, exponents padded
-    with a 0 per missing rank so multisets compare in a fixed dimension."""
-    ess = essentialize(arr)
-    v = _inductive(ess, memo, bud, known)
-    if v.status != "InductivelyFree":
-        return v, None
-    padded = tuple(sorted(v.exponents + (0,) * (arr.dim - arr.rank)))
-    return v, padded
 
 
 def _deletion_lines(lines, h0):
@@ -263,7 +257,7 @@ def _inductive(arr, memo, bud, known=None, lat=None):
         v = FreenessVerdict("InductivelyFree", ())
         memo[key] = v
         return v
-    if arr.rank <= 2:
+    if arr.dim <= 2:
         # every central rank <= 2 arrangement peels one line at a time
         exps = (1,) if n == 1 else (1, n - 1)
         v = FreenessVerdict("InductivelyFree", exps,
@@ -296,24 +290,28 @@ def _inductive(arr, memo, bud, known=None, lat=None):
     budget_hit = False
     for _, h in candidates:
         rst = restriction(arr, h)
-        v2, exp2 = _exponents_padded(rst, memo, bud)
+        v2 = _inductive(rst, memo, bud)
         if v2.status == "Unknown":
             budget_hit = True
+        if v2.status != "InductivelyFree":
             continue
-        if exp2 is None:
-            continue
+        exp2 = v2.exponents
         # a free child's exponents factor its Poincare polynomial: a chain
         # was checked against it (ExponentMismatch), and the rank <= 2 ones
         # hold for every central arrangement
-        p_rst = IntPolynomial.from_factors([[1, e] for e in v2.exponents])
+        p_rst = IntPolynomial.from_factors([[1, e] for e in exp2])
         p_del = p - p_rst.shift(1)
-        v1, exp1 = _exponents_padded(deletion(arr, h), memo, bud,
-                                     known=(p_del, _deletion_lines(lines, h)))
+        # only a coloop's deletion loses rank (see inductive_freeness)
+        dl = deletion(arr, h)
+        if p_del.degree < arr.dim:
+            dl = essentialize(dl)
+        v1 = _inductive(dl, memo, bud,
+                        known=(p_del, _deletion_lines(lines, h)))
         if v1.status == "Unknown":
             budget_hit = True
+        if v1.status != "InductivelyFree":
             continue
-        if exp1 is None:
-            continue
+        exp1 = (0,) * (arr.dim - p_del.degree) + v1.exponents
         if not _submultiset(exp2, exp1):
             continue
         exps = tuple(sorted(exp2 + (n - len(rst.hyperplanes),)))

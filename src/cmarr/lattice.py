@@ -132,7 +132,8 @@ class IntersectionLattice:
     """
 
     __slots__ = ("arrangement", "flats", "by_rank", "bottom",
-                 "representatives", "_joins", "_rank", "_holding")
+                 "representatives", "_joins", "_rank", "_holding",
+                 "_bad_primes")
 
     def __init__(self, arrangement, flats, by_rank, representatives):
         self.arrangement = arrangement
@@ -143,6 +144,7 @@ class IntersectionLattice:
         self._joins = {}
         self._rank = None
         self._holding = {}  # rank -> per hyperplane, the masks holding it
+        self._bad_primes = None  # frozenset, filled by bad_primes
 
     def joins(self, x):
         """The tuple whose entry h is join(x, h), the least flat holding flat
@@ -429,8 +431,12 @@ def bad_primes(arr, lattice=None):
     normalized gh takes.  g permutes the hyperplanes, so the flats of one
     orbit give the same set of indices d(X, h) and the representatives
     give them all.
+
+    The scan runs once per lattice; each call returns a new set.
     """
     lat = lattice_of(arr, lattice)
+    if lat._bad_primes is not None:
+        return set(lat._bad_primes)
     covs = arr.hyperplanes
     d = arr.dim
     shared = set()  # every d(X, h), and 0 for h in X
@@ -447,6 +453,7 @@ def bad_primes(arr, lattice=None):
     bad = set()
     for g in shared - {0, 1}:
         bad |= _prime_factors(g)
+    lat._bad_primes = frozenset(bad)
     return bad
 
 
@@ -519,7 +526,11 @@ def complement_count(arr, q):
     once per distinct beta.  Each covector's cuts form a table indexed by
     s, built once per distinct (y, x) coefficient pair, and a plane's
     count is q^2 minus the bits of the union of its cuts.
+
+    A q that is not prime raises BadPrime: Z/q is then not a field.
     """
+    if _prime_factors(q) != {q}:
+        raise BadPrime("%d is not prime" % q)
     d = arr.dim
     if d == 0:
         return 1

@@ -12,7 +12,7 @@ from cmarr import errors
 from cmarr.arrfile import (emit_arrangement, parse_arrangement,
                            parse_arrangement_with_warnings, parse_weyl_token)
 from cmarr.cli import main
-from cmarr.errors import EmptyBody, ParseError
+from cmarr.errors import EmptyBody, InvalidParams, ParseError
 from cmarr.generators import gen_G8
 
 
@@ -72,7 +72,7 @@ def test_parse_errors_carry_line_numbers():
 def test_parse_weyl_token():
     assert parse_weyl_token("S2xS3") == (2, 3)
     assert parse_weyl_token("S4") == (4,)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams):
         parse_weyl_token("T2")
 
 

@@ -3,13 +3,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import cmarr.freeness as free_mod
 from cmarr.errors import (DimensionMismatch, ExponentMismatch,
                           FlatNotInLattice, IndexOutOfRange, InexactDivision,
                           MalformedPolynomial)
-from cmarr.exactlin import common_kernel, restrict_covectors_to
+from cmarr.exactlin import common_kernel, rank_of, restrict_covectors_to
 from cmarr.freeness import (ExponentReport, FreenessVerdict, _deletion_lines,
                             _divide_linear, deletion, exponents_from_poincare,
                             inductive_freeness, localization,
@@ -439,6 +439,18 @@ def test_restriction_matches_kernel_reference_random(case):
     _assert_restriction_matches(*case)
 
 
+@settings(deadline=None, max_examples=150)
+@given(arrangement_and_index())
+def test_restriction_of_an_essential_arrangement_is_essential(case):
+    # restriction maps V* onto H* with kernel span(a_h), so the search
+    # never essentializes a restriction
+    ess = essentialize(case[0])
+    assume(ess.dim >= 2)
+    for h in range(len(ess)):
+        rst = restriction(ess, h)
+        assert rank_of(rst.hyperplanes, dim=rst.dim) == rst.dim
+
+
 def test_restriction_of_a_line_is_rejected():
     with pytest.raises(DimensionMismatch):
         restriction(Arrangement(1, [(1,)]), 0)
@@ -516,3 +528,53 @@ def test_inductive_freeness_uses_the_lattice_handed_in(monkeypatch):
 def test_localization_rejects_wrong_hyperplane_sets(flat, message):
     with pytest.raises(FlatNotInLattice, match=message):
         localization(CONCURRENT3, flat)
+
+
+# ---------------------------------------------------------------------------
+# coloops: the only search children that lose rank
+
+COLOOP_GOLDEN = GOLDEN.with_name("freeness_coloop_golden.json")
+
+
+def _with_coloops(arr, extra):
+    """arr in `extra` more coordinates, plus the hyperplane x_i = 0 of each
+    new coordinate i: every added hyperplane is a coloop."""
+    d = arr.dim + extra
+    covs = [c + (0,) * extra for c in arr.hyperplanes]
+    covs += [tuple(int(j == i) for j in range(d)) for i in range(arr.dim, d)]
+    return Arrangement(d, covs)
+
+
+COLOOP_CASES = {
+    "G8+e4": lambda: _with_coloops(gen_G8(), 1),
+    "A2+e3": lambda: _with_coloops(gen_coxeter_namikawa((3,)), 1),
+    "boolean-3": lambda: _with_coloops(Arrangement(0, []), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLOOP_CASES))
+def test_coloop_verdict_golden(name):
+    golden = json.loads(COLOOP_GOLDEN.read_text())[name]
+    verdict = inductive_freeness(COLOOP_CASES[name]())
+    assert json.loads(json.dumps(verdict.to_dict())) == golden
+    assert any(0 in step["deletion_exponents"]
+               for step in verdict.witness["chain"])
+
+
+@pytest.mark.parametrize("make", [
+    gen_G8, lambda: gen_wreath("A3", 4, 2), COLOOP_CASES["G8+e4"],
+    COLOOP_CASES["boolean-3"]], ids=["G8", "wreath-A3-2", "G8+e4",
+                                      "boolean-3"])
+def test_search_essentializes_only_coloop_deletions(make, monkeypatch):
+    # past the root every node is essential, so the search essentializes
+    # only the deletions that lose rank
+    seen = []
+    real = free_mod.essentialize
+
+    def recording(a):
+        seen.append((rank_of(a.hyperplanes, dim=a.dim), a.dim))
+        return real(a)
+
+    monkeypatch.setattr(free_mod, "essentialize", recording)
+    assert inductive_freeness(make()).status == "InductivelyFree"
+    assert all(rank < dim for rank, dim in seen[1:]), seen

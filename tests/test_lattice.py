@@ -249,6 +249,14 @@ def test_ff_rejects_nonprime():
         char_poly_finite_field(BOOLEAN2, [9, 11, 13])
 
 
+@pytest.mark.parametrize("q", [0, 1, 4, 6, 9])
+def test_complement_count_rejects_nonprime(q):
+    # Z/q is a field only for prime q
+    with pytest.raises(BadPrime, match="%d is not prime" % q) as info:
+        complement_count(Arrangement(2, [(1, 0), (0, 1), (1, 2)]), q)
+    assert isinstance(info.value, CmarrError)
+
+
 def test_ff_needs_dim_plus_one_primes():
     with pytest.raises(ValueError):
         char_poly_finite_field(BOOLEAN2, [5, 7])
@@ -284,6 +292,32 @@ def test_admissible_primes_avoid_bad_set():
     primes = admissible_primes(arr, 4)
     assert len(primes) == 4
     assert not bad.intersection(primes)
+
+
+def test_bad_primes_scan_once_per_lattice(monkeypatch):
+    # admissible_primes scans and char_poly_finite_field re-checks the
+    # primes it is handed: one lattice makes that one scan
+    arr = gen_G8()
+    lat = build_lattice(arr)
+    steps = []
+    real = lattice_mod._kernel_step
+
+    def counted(basis, c):
+        steps.append(c)
+        return real(basis, c)
+
+    monkeypatch.setattr(lattice_mod, "_kernel_step", counted)
+    primes = admissible_primes(arr, arr.dim + 2, lattice=lat)
+    scan = len(steps)
+    assert scan > 0
+    char_poly_finite_field(arr, primes, lattice=lat)
+    assert len(steps) == scan
+    # each call hands out its own set
+    bad = bad_primes(arr, lattice=lat)
+    want = set(bad)
+    bad.add(primes[0])
+    assert bad_primes(arr, lattice=lat) == want
+    assert len(steps) == scan
 
 
 def test_bad_primes_factors_each_minor_gcd_once(monkeypatch):

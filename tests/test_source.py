@@ -75,3 +75,33 @@ def test_private_functions_are_read():
               if (path.stem, name) not in wrapped
               and not readers.get(name, set()) - {(path.name, name)}]
     assert unread == []
+
+
+# Raises of a name outside errors.py, each with its reason: the operator
+# protocol needs TypeError so that Python tries the reflected operation, and
+# _StrictUnknown is control flow that cli.main catches.
+UNTYPED_RAISES = {("intpoly.py", "_coerce", "TypeError"),
+                  ("cli.py", "run_analyze", "_StrictUnknown")}
+
+
+def test_raises_are_typed():
+    # every error the library raises on purpose is a CmarrError subclass
+    # from errors.py, so callers can tell library signals from bugs
+    errors = ast.parse((SRC / "errors.py").read_text())
+    typed = {node.name for node in errors.body
+             if isinstance(node, ast.ClassDef)}
+    untyped = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Raise) or node.exc is None:
+                    continue
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                name = getattr(exc, "id", None) or getattr(exc, "attr", None)
+                key = (path.name, getattr(top, "name", None), name)
+                if name not in typed and key not in UNTYPED_RAISES:
+                    untyped.append("%s:%d %s" % (path.name, node.lineno,
+                                                 name))
+    assert untyped == []
