@@ -11,8 +11,9 @@ operations v <- a*v - b*row followed by division by the content.  Every step
 multiplies v by a nonzero integer and subtracts an element of the span, so
 the residual is zero exactly when v lies in the span: the kernel is exact by
 construction and needs no modulus, no determinant bound and no choice of
-prime.  The intersection lattice, `rank_of`, circuits, nbc sets and
-`span_coordinates` run on it.  `rref` over Fraction runs only where the
+prime.  The intersection lattice, `rank_of`, `span_coordinates` and the
+containment check of `freeness.localization` run on it; circuits and nbc
+sets read joins off the lattice and run no elimination.  `rref` over Fraction runs only where the
 unique reduced echelon basis is itself the output: `Subspace` and
 `common_kernel`.
 """

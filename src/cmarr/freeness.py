@@ -142,7 +142,8 @@ def restriction(arr, h):
 
 def localization(arr, flat):
     """Sub-arrangement of exactly the hyperplanes containing the flat."""
-    for i in flat.hyperplanes:
+    held = flat.hyperplanes
+    for i in held:
         if not 0 <= i < len(arr.hyperplanes):
             raise FlatNotInLattice("hyperplane index %d out of range" % i)
     # the flat is cut out by the listed covectors of its own arrangement,
@@ -150,16 +151,16 @@ def localization(arr, flat):
     # genuine flat of this arrangement lists *every* such hyperplane, so a
     # mismatch either way means the flat belongs to another lattice
     own = flat._arr.hyperplanes
-    rows = echelon(own[i] for i in flat.hyperplanes)
+    rows = echelon(own[i] for i in held)
     for i, cov in enumerate(arr.hyperplanes):
         contains = reduce_covector(cov, rows) is None
-        if i in flat.hyperplanes and not contains:
+        if i in held and not contains:
             raise FlatNotInLattice(
                 "hyperplane %d does not contain the flat" % i)
-        if contains and i not in flat.hyperplanes:
+        if contains and i not in held:
             raise FlatNotInLattice(
                 "hyperplane %d contains the flat but is not listed" % i)
-    covs = [arr.hyperplanes[i] for i in sorted(flat.hyperplanes)]
+    covs = [arr.hyperplanes[i] for i in sorted(held)]
     return Arrangement(arr.dim, covs)
 
 
@@ -357,12 +358,12 @@ def _nonfree_localization(lat, proper):
     hyperplane; rank <= 2 localizations are always free."""
     n = len(lat.arrangement.hyperplanes)
     for f in lat.flats:
-        if f.rank < 3 or proper and len(f.hyperplanes) == n:
+        if f.rank < 3 or proper and f.mask.bit_count() == n:
             continue
         p = localization_poincare(lat, f)
         rep = exponents_from_poincare(p)
         if not rep.factors_integrally:
-            return sorted(f.hyperplanes), _residual_witness(p, rep)
+            return _bits(f.mask), _residual_witness(p, rep)
     return None
 
 

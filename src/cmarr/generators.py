@@ -136,14 +136,18 @@ def _block_difference(m, i, j):
     return tuple(amb[t] - amb[0] for t in range(1, m))
 
 
-def _compose_blocks(blocks, block_vectors):
-    """Concatenate per-block essential pieces into one full covector."""
+def project_zero_sum(ambient_covector, blocks):
+    """Essentialize an ambient covector: per block, substitute the index-0
+    coordinate by minus the sum of the others and drop it."""
     out = []
-    for b, vec in zip(blocks, block_vectors):
-        if vec is None:
-            out.extend([0] * (b - 1))
-        else:
-            out.extend(vec)
+    pos = 0
+    for m in blocks:
+        seg = ambient_covector[pos:pos + m]
+        out.extend(seg[i] - seg[0] for i in range(1, m))
+        pos += m
+    if pos != len(ambient_covector):
+        raise InvalidParams("blocks %r do not cover length %d"
+                            % (list(blocks), len(ambient_covector)))
     return normalize_covector(out)
 
 
@@ -154,12 +158,15 @@ def gen_coxeter_namikawa(spec):
         raise InvalidParams("weyl spec must be nonempty with sizes >= 1")
     dim = sum(b - 1 for b in blocks)
     covs = []
-    for bi, m in enumerate(blocks):
+    pos = 0
+    for m in blocks:
         for j in range(m):
             for i in range(j + 1, m):
-                pieces = [None] * len(blocks)
-                pieces[bi] = _block_difference(m, i, j)
-                covs.append(_compose_blocks(blocks, pieces))
+                amb = [0] * sum(blocks)
+                amb[pos + i] = 1
+                amb[pos + j] = -1
+                covs.append(project_zero_sum(amb, blocks))
+        pos += m
     return Arrangement(dim, covs, label="coxeter-%s" % "x".join(
         "S%d" % b for b in blocks), tags=["T"] * len(covs), weyl=blocks)
 
@@ -187,15 +194,17 @@ def gen_dihedral_even():
 def gen_wreath(g_label, group_order, n):
     """CM-hyperplanes of the wreath product of a Kleinian group with S_n.
 
-    Coordinates: one sign coordinate (a zero-sum block of size 2) followed
-    by the essential coordinates of the second block.  For cyclic groups
-    (type A_{ell-1}, block of size ell) the emitted forms are, verbatim:
+    Coordinates: one sign coordinate a followed by the rank coordinates of
+    the root block.  The T-forms are a and the root forms w; the F-forms
+    are s a + scale m w, m in {+-1, ..., +-(n-1)}.  For cyclic groups (type
+    A_{ell-1}) a is a zero-sum block of size 2 and the root block one of
+    size ell, so that s = -2, scale = 1 and the emitted forms are, verbatim:
     T:  kappa_{1,0} - kappa_{1,1},  kappa_{2,i} - kappa_{2,j}
-    F:  (kappa_{1,0} - kappa_{1,1}) + m (kappa_{2,i} - kappa_{2,j}),
-        m in {+-1, ..., +-(n-1)}.
-    For D/E types the root block is the simple-coroot coordinate space and
-    the F-forms are group_order * a + j * <beta, .>; only the projective
-    classes matter, so the overall scaling convention is free.
+    F:  (kappa_{1,0} - kappa_{1,1}) + m (kappa_{2,i} - kappa_{2,j}).
+    For D/E types the root block is the simple-coroot coordinate space, the
+    root forms are the pairings <beta, .> with the positive roots beta,
+    s = group_order and scale = 2; only the projective classes matter, so
+    the overall scaling convention is free.
     """
     if n < 2:
         raise InvalidN("wreath degree n must be >= 2")
@@ -206,50 +215,29 @@ def gen_wreath(g_label, group_order, n):
             raise InvalidParams(
                 "cyclic group order %d inconsistent with %s (needs %d)"
                 % (group_order, g_label, ell))
-        blocks = (2, ell)
-        dim = 1 + (ell - 1)
-        covs = []
-        tags = []
-        # sign coordinate: kappa_{1,0} - kappa_{1,1} -> essential (-2)
-        covs.append(normalize_covector((-2,) + (0,) * (ell - 1)))
-        tags.append("T")
-        diffs = []
-        for j in range(ell):
-            for i in range(j + 1, ell):
-                diffs.append(_block_difference(ell, i, j))
-        for d in diffs:
-            covs.append(normalize_covector((0,) + d))
-            tags.append("T")
-        for d in diffs:
-            for m in range(1, n):
-                for sgn in (1, -1):
-                    covs.append(normalize_covector(
-                        (-2,) + tuple(sgn * m * x for x in d)))
-                    tags.append("F")
-        return Arrangement(dim, covs, label="wreath-%s-%d" % (g_label, n),
-                           tags=tags, weyl=blocks)
-    if group_order < 2 or group_order % 2:
-        raise InvalidParams("group order must be a positive even integer "
-                            "for type %s" % g_label)
-    dim = 1 + rs.rank
-    covs = [(1,) + (0,) * rs.rank]
-    tags = ["T"]
-    pairings = []
-    for beta in rs.positive_roots:
-        pairings.append(tuple(
-            sum(beta[j] * rs.cartan[j][i] for j in range(rs.rank))
-            for i in range(rs.rank)))
-    for w in pairings:
-        covs.append(normalize_covector((0,) + w))
-        tags.append("T")
-    for w in pairings:
+        forms = [_block_difference(ell, i, j)
+                 for j in range(ell) for i in range(j + 1, ell)]
+        sign, scale, weyl = -2, 1, (2, ell)
+    else:
+        if group_order < 2 or group_order % 2:
+            raise InvalidParams("group order must be a positive even "
+                                "integer for type %s" % g_label)
+        forms = [tuple(sum(beta[j] * rs.cartan[j][i]
+                           for j in range(rs.rank))
+                       for i in range(rs.rank))
+                 for beta in rs.positive_roots]
+        sign, scale, weyl = group_order, 2, None
+    covs = [normalize_covector((sign,) + (0,) * rs.rank)]
+    covs += [normalize_covector((0,) + w) for w in forms]
+    tags = ["T"] * len(covs)
+    for w in forms:
         for m in range(1, n):
             for sgn in (1, -1):
                 covs.append(normalize_covector(
-                    (group_order,) + tuple(2 * sgn * m * x for x in w)))
+                    (sign,) + tuple(scale * sgn * m * x for x in w)))
                 tags.append("F")
-    return Arrangement(dim, covs, label="wreath-%s-%d" % (g_label, n),
-                       tags=tags)
+    return Arrangement(1 + rs.rank, covs, label="wreath-%s-%d" % (g_label, n),
+                       tags=tags, weyl=weyl)
 
 
 def default_group_order(g_label):
@@ -272,12 +260,9 @@ def gen_G4():
     """
     t_covs = [_block_difference(3, i, j)
               for j in range(3) for i in range(j + 1, 3)]
-    f_covs = []
-    for i in range(3):
-        amb = [0, 0, 0]
-        amb[i] = 1
-        f_covs.append(tuple(amb[t] - amb[0] for t in (1, 2)))
-    covs = [normalize_covector(c) for c in t_covs + f_covs]
+    f_covs = [project_zero_sum([int(i == t) for t in range(3)], (3,))
+              for i in range(3)]
+    covs = [normalize_covector(c) for c in t_covs] + f_covs
     tags = ["T"] * 3 + ["F"] * 3
     return Arrangement(2, covs, label="G4", tags=tags, weyl=(3,))
 
@@ -293,21 +278,6 @@ G8_AMBIENT = (
     (-1, 1, 1, -1), (-3, 1, 1, 1), (-1, 2, 0, -1), (-1, 2, -1, 0),
     (0, 2, -1, -1),
 )
-
-
-def project_zero_sum(ambient_covector, blocks):
-    """Essentialize an ambient covector: per block, substitute the index-0
-    coordinate by minus the sum of the others and drop it."""
-    out = []
-    pos = 0
-    for m in blocks:
-        seg = ambient_covector[pos:pos + m]
-        out.extend(seg[i] - seg[0] for i in range(1, m))
-        pos += m
-    if pos != len(ambient_covector):
-        raise InvalidParams("blocks %r do not cover length %d"
-                            % (list(blocks), len(ambient_covector)))
-    return normalize_covector(out)
 
 
 def gen_G8():

@@ -81,37 +81,34 @@ class Flat:
     """A flat of the lattice: an intersection of some of the hyperplanes.
 
     `mask` has bit i set iff hyperplane i contains the flat; `hyperplanes`
-    is the same set as a frozenset of indices.  The subspace is computed
+    reads the same set as a frozenset of indices.  The subspace is computed
     from the owning arrangement's covectors on first read.
     """
 
-    __slots__ = ("mask", "hyperplanes", "rank", "mobius", "_arr",
-                 "_subspace")
+    __slots__ = ("mask", "rank", "mobius", "_arr", "_subspace")
 
     def __init__(self, arrangement, mask, rank, mobius=None):
-        self._fill(arrangement, mask, _bits(mask), rank, mobius)
-
-    def _fill(self, arrangement, mask, bits, rank, mobius):
-        # bits: _bits(mask), for a caller that already has it
         self.mask = mask
-        self.hyperplanes = frozenset(bits)
         self.rank = rank
         self.mobius = mobius
         self._arr = arrangement
         self._subspace = None
 
     @property
+    def hyperplanes(self):
+        return frozenset(_bits(self.mask))
+
+    @property
     def subspace(self):
         if self._subspace is None:
             covs = self._arr.hyperplanes
             self._subspace = common_kernel(
-                [covs[i] for i in sorted(self.hyperplanes)],
-                dim=self._arr.dim)
+                [covs[i] for i in _bits(self.mask)], dim=self._arr.dim)
         return self._subspace
 
     def __repr__(self):
         return "Flat(rank=%d, hyperplanes=%s, mobius=%r)" % (
-            self.rank, sorted(self.hyperplanes), self.mobius)
+            self.rank, _bits(self.mask), self.mobius)
 
 
 def _bits(mask):
@@ -133,7 +130,7 @@ class IntersectionLattice:
 
     __slots__ = ("arrangement", "flats", "by_rank", "bottom",
                  "representatives", "_joins", "_rank", "_holding",
-                 "_bad_primes")
+                 "_indices")
 
     def __init__(self, arrangement, flats, by_rank, representatives):
         self.arrangement = arrangement
@@ -144,7 +141,7 @@ class IntersectionLattice:
         self._joins = {}
         self._rank = None
         self._holding = {}  # rank -> per hyperplane, the masks holding it
-        self._bad_primes = None  # frozenset, filled by bad_primes
+        self._indices = None  # frozenset, filled by _critical_indices
 
     def joins(self, x):
         """The tuple whose entry h is join(x, h), the least flat holding flat
@@ -165,7 +162,7 @@ class IntersectionLattice:
             if r not in self._holding:
                 self._holding[r] = [[] for _ in jx]
                 for f in self.by_rank[r]:
-                    for h in f.hyperplanes:
+                    for h in _bits(f.mask):
                         self._holding[r][h].append(f.mask)
             for y in self._holding[r][(x & -x).bit_length() - 1] if x \
                     else [f.mask for f in self.by_rank[1]]:
@@ -203,13 +200,9 @@ def flat_children(covs, x, rows):
 
 
 def _generator_tables(arr):
-    """Per-generator byte tables of the mask maps by which the block
-    generators of arr.weyl permute the flats; an empty list without a
-    layout that fits arr.dim and leaves arr stable.
-
-    tables[k][b] is the image of the mask b << 8k, so a mask's image is the
-    union of one lookup per byte.
-    """
+    """`_mask_tables` of the block generators of arr.weyl, by which they
+    permute the flats; an empty list without a layout that fits arr.dim and
+    leaves arr stable."""
     if arr.weyl is None:
         return []
     # symmetry imports this module, so the import waits for the call
@@ -218,6 +211,16 @@ def _generator_tables(arr):
         perms = generator_permutations(arr, arr.weyl)
     except (LayoutMismatch, NotStable):
         return []
+    return _mask_tables(perms)
+
+
+def _mask_tables(perms):
+    """Per-permutation byte tables of the mask maps that the index
+    permutations `perms` induce.
+
+    tables[k][b] is the image of the mask b << 8k, so a mask's image is the
+    union of one lookup per byte.
+    """
     gens = []
     for perm in perms:
         tables = []
@@ -306,14 +309,8 @@ def build_lattice(arr):
                 raise MobiusSignViolation(
                     "Mobius sign violation at rank %d" % r)
             reps.append((y, rows, size, mu))
-        # each flat's bit list is both its sort key and its hyperplanes
-        bits_of = {y: _bits(y) for y in orbit_of}
-        level = []
-        for y in sorted(bits_of, key=bits_of.__getitem__):
-            f = Flat.__new__(Flat)
-            f._fill(arr, y, bits_of[y], r, reps[orbit_of[y]][3])
-            level.append(f)
-        by_rank.append(level)
+        by_rank.append([Flat(arr, y, r, reps[orbit_of[y]][3])
+                        for y in sorted(orbit_of, key=_bits)])
         rep_masks.append(tuple(y for y, *_ in reps))
     flats = [f for lvl in by_rank for f in lvl]
     return IntersectionLattice(arr, flats, by_rank, tuple(rep_masks))
@@ -419,8 +416,21 @@ def bad_primes(arr, lattice=None):
     of a basis h_1..h_k these indices multiply to its minor gcd, and every
     pair (X, h) occurs in some basis.  So the bad primes divide some d(X, h)
     with 0 < rank X < rank A (d = 1 at the bottom: covectors are primitive);
-    each distinct d > 1 is factored once.  Point counts over any other
-    prime follow the characteristic polynomial.
+    each distinct d > 1 (`_critical_indices`) is factored once.  Point counts
+    over any other prime follow the characteristic polynomial.
+    """
+    bad = set()
+    for g in _critical_indices(arr, lattice):
+        bad |= _prime_factors(g)
+    return bad
+
+
+def _critical_indices(arr, lattice=None):
+    """The distinct indices d(X, h) > 1 of `bad_primes`, as a frozenset.
+
+    A prime q is bad iff it divides one of them, which `admissible_primes`
+    and `char_poly_finite_field` test by q's remainders, so they factor no
+    index: trial division of a large one can take arbitrarily long.
 
     Only the flats in `lat.representatives`, one per W-orbit, are scanned.
     A block generator g of a stable layout acts on covectors by an integer
@@ -432,11 +442,11 @@ def bad_primes(arr, lattice=None):
     orbit give the same set of indices d(X, h) and the representatives
     give them all.
 
-    The scan runs once per lattice; each call returns a new set.
+    The scan runs once per lattice and keeps its result on it.
     """
     lat = lattice_of(arr, lattice)
-    if lat._bad_primes is not None:
-        return set(lat._bad_primes)
+    if lat._indices is not None:
+        return lat._indices
     covs = arr.hyperplanes
     d = arr.dim
     shared = set()  # every d(X, h), and 0 for h in X
@@ -450,11 +460,8 @@ def bad_primes(arr, lattice=None):
                 basis = _kernel_step(basis, covs[h])
             shared.update(map(gcd, *([sum(map(mul, c, p)) for c in covs]
                                      for p in basis)))
-    bad = set()
-    for g in shared - {0, 1}:
-        bad |= _prime_factors(g)
-    lat._bad_primes = frozenset(bad)
-    return bad
+    lat._indices = frozenset(shared - {0, 1})
+    return lat._indices
 
 
 def _kernel_step(basis, c):
@@ -493,11 +500,11 @@ def _prime_factors(x):
 def admissible_primes(arr, count, lattice=None):
     """The `count` smallest primes admissible for finite-field counting,
     those outside `bad_primes(arr, lattice)`."""
-    bad = bad_primes(arr, lattice)
+    indices = _critical_indices(arr, lattice)
     out = []
     q = 2
     while len(out) < count:
-        if q not in bad and _prime_factors(q) == {q}:
+        if all(g % q for g in indices) and _prime_factors(q) == {q}:
             out.append(q)
         q += 1
     return out
@@ -597,11 +604,11 @@ def char_poly_finite_field(arr, primes, lattice=None):
                             % (d + 1, len(primes)))
     if len(set(primes)) != len(primes):
         raise BadPrime("primes must be distinct")
-    bad = bad_primes(arr, lattice)
+    indices = _critical_indices(arr, lattice)
     for q in primes:
         if _prime_factors(q) != {q}:
             raise BadPrime("%d is not prime" % q)
-        if q in bad:
+        if not all(g % q for g in indices):
             raise BadPrime("%d divides a critical minor gcd" % q)
     return _interpolate_counts(arr, primes,
                                [complement_count(arr, q) for q in primes])

@@ -10,9 +10,9 @@ from collections import namedtuple
 from math import factorial
 
 from .errors import LayoutMismatch, NonIntegral, NotStable
-from .exactlin import normalize_covector
-from .lattice import Arrangement
+from .lattice import Arrangement, _bits, _mask_tables, _orbit
 from .freeness import exponents_from_poincare
+from .generators import project_zero_sum, table1_rows
 
 
 class BlockPermutation:
@@ -46,24 +46,22 @@ class BlockPermutation:
     def apply_covector(self, cov):
         """Pull a covector on the essential coordinates through the action.
 
-        Per block: lift to ambient coefficients (0, c_1, ..., c_{m-1}),
-        move the coefficient at position i to position sigma(i), then
-        eliminate the block's index-0 coordinate again.
+        Per block: lift to ambient coefficients (0, c_1, ..., c_{m-1}) and
+        move the coefficient at position i to position sigma(i); then
+        `project_zero_sum` eliminates each block's index-0 coordinate again.
         """
-        out = []
-        pos = 0
-        for m, p in zip(self.blocks, self.perms):
-            seg = cov[pos:pos + m - 1]
-            pos += m - 1
-            amb = (0,) + tuple(seg)
-            moved = [0] * m
-            for i in range(m):
-                moved[p[i]] = amb[i]
-            out.extend(moved[i] - moved[0] for i in range(1, m))
-        if pos != len(cov):
+        if len(cov) != sum(m - 1 for m in self.blocks):
             raise LayoutMismatch("covector length %d does not fit blocks %r"
                                  % (len(cov), list(self.blocks)))
-        return normalize_covector(out)
+        amb = []
+        pos = 0
+        for m, p in zip(self.blocks, self.perms):
+            moved = [0] * m
+            for i in range(1, m):
+                moved[p[i]] = cov[pos + i - 1]
+            amb.extend(moved)
+            pos += m - 1
+        return project_zero_sum(amb, self.blocks)
 
     def __eq__(self, other):
         return (isinstance(other, BlockPermutation)
@@ -155,27 +153,15 @@ def is_stable(arr, spec):
 
 
 def hyperplane_orbits(arr, spec):
-    """Orbit partition of hyperplane indices under the generated group."""
-    perms = generator_permutations(arr, spec)
-    unassigned = set(range(len(arr.hyperplanes)))
-    orbits = []
-    while unassigned:
-        seed = min(unassigned)
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            new = []
-            for i in frontier:
-                for p in perms:
-                    j = p[i]
-                    if j not in orbit:
-                        orbit.add(j)
-                        new.append(j)
-            frontier = new
-        orbits.append(tuple(sorted(orbit)))
-        unassigned -= orbit
-    orbits.sort()
-    return tuple(orbits)
+    """Orbit partition of hyperplane indices under the generated group.
+
+    The orbit of hyperplane i is read off the orbit of the mask 1 << i under
+    the generators' mask maps, the closure the lattice build runs on flats;
+    its masks are single bits, so their sum is their union.
+    """
+    tables = _mask_tables(generator_permutations(arr, spec))
+    return tuple(sorted({tuple(_bits(sum(_orbit(1 << i, tables))))
+                         for i in range(len(arr.hyperplanes))}))
 
 
 def contains_subarrangement(arr, sub):
@@ -211,7 +197,6 @@ def audit_table1(rows=None):
     printed free with rank 2, the exponents exist.  Returns a list of dicts.
     """
     if rows is None:
-        from .generators import table1_rows
         rows = table1_rows()
     reports = []
     for row in rows:

@@ -290,6 +290,18 @@ def test_analyze_crosscheck_golden(capsys, tmp_path, name, threads):
     assert out == golden
 
 
+GEN_GOLDEN = json.loads((Path(__file__).resolve().parent / "data"
+                         / "gen_golden.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GEN_GOLDEN))
+def test_gen_golden(capsys, name):
+    """`cmarr gen` writes the bytes stored in tests/data/gen_golden.json,
+    the D/E wreath families included."""
+    case = GEN_GOLDEN[name]
+    assert run(capsys, ["gen"] + case["args"]) == (0, case["stdout"], "")
+
+
 def test_audit_table_cli(capsys):
     code, out, _ = run(capsys, ["audit-table"])
     assert code == 0

@@ -13,7 +13,7 @@ from cmarr.freeness import inductive_freeness
 from cmarr.generators import (gen_G4, gen_G8, gen_coxeter_namikawa,
                               gen_cyclic, gen_dihedral_even, gen_wreath)
 from cmarr.intpoly import IntPolynomial
-from cmarr.lattice import (Arrangement, _prime_factors,
+from cmarr.lattice import (Arrangement, _bits, _prime_factors,
                            admissible_primes, bad_primes,
                            build_lattice, char_poly_finite_field,
                            characteristic_polynomial, complement_count,
@@ -337,6 +337,34 @@ def test_bad_primes_factors_each_minor_gcd_once(monkeypatch):
     monkeypatch.setattr(lattice_mod, "_prime_factors", counted)
     assert bad_primes(arr) == {p}
     assert calls == [p]
+
+
+def test_ff_primes_factor_no_index(monkeypatch):
+    """admissible_primes and char_poly_finite_field test each prime against
+    the indices d(X, h) by its remainders.  Here one index is 10^23 - 1 =
+    9 * R23, whose trial division would run to about 10^11: no index is
+    factored, and 2 and 3, which divide an index, stay bad."""
+    arr = Arrangement(2, [(10 ** 23 - 1, 1), (1, 1), (0, 1)])
+    real = lattice_mod._prime_factors
+
+    def bounded(x):
+        assert x <= 10 ** 6, "factors %d" % x
+        return real(x)
+
+    monkeypatch.setattr(lattice_mod, "_prime_factors", bounded)
+    lat = build_lattice(arr)
+    primes = admissible_primes(arr, 3, lattice=lat)
+    assert primes == [5, 7, 11]
+    assert char_poly_finite_field(arr, primes, lattice=lat).coeffs \
+        == (2, -3, 1)
+    with pytest.raises(BadPrime, match="3 divides a critical minor gcd"):
+        char_poly_finite_field(arr, [3, 5, 7], lattice=lat)
+
+
+def test_flat_hyperplanes_read_the_mask(corpus):
+    for arr in corpus:
+        for f in build_lattice(arr).flats:
+            assert f.hyperplanes == frozenset(_bits(f.mask))
 
 
 def _int_det(rows):

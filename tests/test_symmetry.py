@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cmarr.errors import LayoutMismatch, NonIntegral, NotStable
+from cmarr.exactlin import normalize_covector
 from cmarr.generators import (gen_G4, gen_G8, gen_coxeter_namikawa,
                               gen_cyclic, gen_dihedral_even, gen_wreath,
                               table1_rows)
@@ -55,6 +57,43 @@ def test_act_four_cycle_permutes_g8():
 def test_act_layout_mismatch():
     with pytest.raises(LayoutMismatch):
         act(BlockPermutation.identity((3,)), gen_G8())
+    for cov in [(1,), (1, 2, 3, 4)]:
+        with pytest.raises(LayoutMismatch, match="does not fit blocks"):
+            BlockPermutation.identity((2, 3)).apply_covector(cov)
+
+
+def _apply_by_lift(blocks, perms, cov):
+    """The action spelled out: per block, lift to ambient coefficients
+    (0, c_1, ..., c_{m-1}), move position i to sigma(i) and drop the
+    block's index-0 coordinate, c_i - c_0; then normalize."""
+    out = []
+    pos = 0
+    for m, p in zip(blocks, perms):
+        amb = [0] + list(cov[pos:pos + m - 1])
+        pos += m - 1
+        moved = [0] * m
+        for i in range(m):
+            moved[p[i]] = amb[i]
+        out.extend(moved[i] - moved[0] for i in range(1, m))
+    return normalize_covector(out)
+
+
+@st.composite
+def layout_and_covector(draw):
+    blocks = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)
+                  .filter(lambda b: max(b) > 1))
+    perms = [draw(st.permutations(range(m))) for m in blocks]
+    dim = sum(m - 1 for m in blocks)
+    cov = draw(st.lists(st.integers(-5, 5), min_size=dim, max_size=dim)
+               .filter(any))
+    return blocks, perms, tuple(cov)
+
+
+@given(layout_and_covector())
+def test_apply_covector_matches_lift(case):
+    blocks, perms, cov = case
+    assert BlockPermutation(blocks, perms).apply_covector(cov) \
+        == _apply_by_lift(blocks, perms, cov)
 
 
 def test_stability_g8_g4():
@@ -119,6 +158,39 @@ def test_generator_permutations_follow_the_action():
         assert sorted(perm) == list(range(len(covs)))
         assert [covs[j] for j in perm] \
             == [g.apply_covector(c) for c in covs]
+
+
+def _orbits_by_search(arr, spec):
+    """Orbit partition by a breadth-first search over the generators' index
+    permutations: the reference for hyperplane_orbits."""
+    perms = generator_permutations(arr, spec)
+    unassigned = set(range(len(arr.hyperplanes)))
+    orbits = []
+    while unassigned:
+        seed = min(unassigned)
+        orbit = {seed}
+        frontier = [seed]
+        while frontier:
+            new = []
+            for i in frontier:
+                for p in perms:
+                    j = p[i]
+                    if j not in orbit:
+                        orbit.add(j)
+                        new.append(j)
+            frontier = new
+        orbits.append(tuple(sorted(orbit)))
+        unassigned -= orbit
+    orbits.sort()
+    return tuple(orbits)
+
+
+def test_hyperplane_orbits_match_search(corpus):
+    extra = [gen_coxeter_namikawa((2, 3, 4)), gen_wreath("A4", 5, 2),
+             gen_wreath("A1", 2, 4)]
+    for arr in corpus + extra:
+        assert hyperplane_orbits(arr, arr.weyl) \
+            == _orbits_by_search(arr, arr.weyl)
 
 
 def test_contains_subarrangement():
