@@ -25,7 +25,7 @@ def parse_weyl_token(token):
     parts = token.split("x")
     blocks = []
     for p in parts:
-        if not p.startswith("S") or not p[1:].isdigit():
+        if not p.startswith("S") or not p[1:].isdecimal():
             raise InvalidParams("bad weyl factor %r" % p)
         m = int(p[1:])
         if m < 1:
@@ -57,7 +57,7 @@ def parse_arrangement_with_warnings(text):
         if head == "dim":
             if dim is not None:
                 raise ParseError("duplicate dim directive", lineno)
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2 or not fields[1].isdecimal():
                 raise ParseError("dim needs one integer argument", lineno)
             dim = int(fields[1])
         elif head == "label":

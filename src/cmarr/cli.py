@@ -61,11 +61,7 @@ def run_generate(name, args):
     if name == "coxeter":
         if args.weyl is None:
             raise InvalidParams("gen coxeter requires --weyl")
-        try:
-            blocks = parse_weyl_token(args.weyl)
-        except ValueError as e:
-            raise InvalidParams(str(e))
-        return gen_coxeter_namikawa(blocks)
+        return gen_coxeter_namikawa(parse_weyl_token(args.weyl))
     raise UnknownGenerator("no generator named %r" % name)
 
 
@@ -80,7 +76,7 @@ def run_analyze(arr, args):
     """Execute the requested pipeline stages; returns the report dict.
 
     Raises library errors for math-audit signals and _StrictUnknown when
-    --strict meets a budget-limited freeness verdict.
+    --strict meets an Unknown freeness verdict, whatever its reason.
     """
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -7,7 +7,7 @@ or for one of its localizations; InductivelyFree certificates are removal
 chains for the addition-deletion triple.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .errors import (DimensionMismatch, ExponentMismatch, FlatNotInLattice,
                      IndexOutOfRange, InexactDivision, InvalidParams,
@@ -39,7 +39,8 @@ def exponents_from_poincare(p):
     leading coefficient with p(-1/b) = 0; since the roots of a full
     factorization are determined, stripping any valid b at a time finds the
     factorization whenever one exists.  On failure the unfactorable residual
-    is reported.
+    is reported.  A full strip ends at [1]: the constant term is 1, and
+    _divide_linear keeps it.
     """
     if not p.coeffs or p.coeffs[0] != 1:
         raise MalformedPolynomial("constant term must be 1, got %r"
@@ -58,9 +59,6 @@ def exponents_from_poincare(p):
                                   IntPolynomial(current))
         current = _divide_linear(current, b_found)
         exps.append(b_found)
-    if current != [1]:
-        return ExponentReport(False, tuple(sorted(exps)),
-                              IntPolynomial(current))
     return ExponentReport(True, tuple(sorted(exps)))
 
 
@@ -196,18 +194,11 @@ class FreenessVerdict:
 
 
 class _Budget:
-    __slots__ = ("remaining", "used")
+    __slots__ = ("limit", "used")
 
     def __init__(self, limit):
-        self.remaining = limit
+        self.limit = limit
         self.used = 0
-
-    def spend(self):
-        if self.remaining <= 0:
-            return False
-        self.remaining -= 1
-        self.used += 1
-        return True
 
 
 def inductive_freeness(arr, budget=DEFAULT_BUDGET, lattice=None):
@@ -226,6 +217,12 @@ def inductive_freeness(arr, budget=DEFAULT_BUDGET, lattice=None):
     a spanning set of covectors still spans.  A' has rank deg p(A'), below
     dim only when h is a coloop; that deletion alone is essentialized, and
     exp(A') gets a 0 for the rank it lost.
+
+    Each node decided costs one unit of `budget`, and its verdict is
+    memoized by canonical key.  An Unknown verdict's witness gives its
+    reason: "budget" when the budget ran out at the node or at a child it
+    read (such a verdict is not memoized), "no_chain" when every candidate
+    was searched to the end and none gave a chain.
     """
     if budget <= 0:
         raise InvalidParams("budget must be positive")
@@ -248,23 +245,34 @@ def _deletion_lines(lines, h0):
 
 
 def _inductive(arr, memo, bud, known=None, lat=None):
+    """The verdict on arr: read from the memo, or decided at the cost of one
+    node of the budget and memoized unless the budget cut it short."""
     key = arr.canonical_key()
     if key in memo:
         return memo[key]
-    if not bud.spend():
+    if bud.used >= bud.limit:
         return FreenessVerdict("Unknown", witness={"reason": "budget"})
+    bud.used += 1
+    v = _decide(arr, memo, bud, known, lat)
+    if not _cut_short(v):
+        memo[key] = v
+    return v
+
+
+def _cut_short(v):
+    return v.status == "Unknown" and v.witness["reason"] == "budget"
+
+
+def _decide(arr, memo, bud, known, lat):
+    """One node's verdict, its children searched through _inductive."""
     n = len(arr.hyperplanes)
     if n == 0:
-        v = FreenessVerdict("InductivelyFree", ())
-        memo[key] = v
-        return v
+        return FreenessVerdict("InductivelyFree", ())
     if arr.dim <= 2:
         # every central rank <= 2 arrangement peels one line at a time
         exps = (1,) if n == 1 else (1, n - 1)
-        v = FreenessVerdict("InductivelyFree", exps,
-                            witness={"reason": "rank<=2"})
-        memo[key] = v
-        return v
+        return FreenessVerdict("InductivelyFree", exps,
+                               witness={"reason": "rank<=2"})
     # Each node owns its lattice: the root (unless handed one) and every
     # restriction build it here, once past the memo, budget and rank checks.
     # A deletion gets (p, lines) from its parent instead: p(A') from the
@@ -275,9 +283,7 @@ def _inductive(arr, memo, bud, known=None, lat=None):
     p, lines = known
     rep = exponents_from_poincare(p)
     if not rep.factors_integrally:
-        v = FreenessVerdict("NotFree", witness=_residual_witness(p, rep))
-        memo[key] = v
-        return v
+        return FreenessVerdict("NotFree", witness=_residual_witness(p, rep))
     target_exps = rep.exponents
     # candidate removals: |A| - |A''| must be one of the exponents, where
     # |A''| for H is the number of rank-2 flats above H; only the candidates
@@ -288,12 +294,11 @@ def _inductive(arr, memo, bud, known=None, lat=None):
             sizes[h] += 1
     candidates = sorted((-sizes[h], h) for h in range(n)
                         if n - sizes[h] in target_exps)
-    budget_hit = False
+    cut_short = False
     for _, h in candidates:
         rst = restriction(arr, h)
         v2 = _inductive(rst, memo, bud)
-        if v2.status == "Unknown":
-            budget_hit = True
+        cut_short |= _cut_short(v2)
         if v2.status != "InductivelyFree":
             continue
         exp2 = v2.exponents
@@ -308,42 +313,34 @@ def _inductive(arr, memo, bud, known=None, lat=None):
             dl = essentialize(dl)
         v1 = _inductive(dl, memo, bud,
                         known=(p_del, _deletion_lines(lines, h)))
-        if v1.status == "Unknown":
-            budget_hit = True
+        cut_short |= _cut_short(v1)
         if v1.status != "InductivelyFree":
             continue
         exp1 = (0,) * (arr.dim - p_del.degree) + v1.exponents
-        if not _submultiset(exp2, exp1):
+        if not Counter(exp2) <= Counter(exp1):
             continue
         exps = tuple(sorted(exp2 + (n - len(rst.hyperplanes),)))
         step = {"removed": list(arr.hyperplanes[h]),
                 "deletion_exponents": list(exp1),
                 "restriction_exponents": list(exp2),
                 "exponents": list(exps)}
-        chain = [step]
-        if isinstance(v1.witness, dict) and "chain" in v1.witness:
-            chain += v1.witness["chain"]
         if exps != target_exps:
             raise ExponentMismatch(
                 "chain exponents %r disagree with Poincare factorization %r"
                 % (exps, target_exps))
-        v = FreenessVerdict("InductivelyFree", exps, witness={"chain": chain})
-        memo[key] = v
-        return v
+        # a deletion keeps at least two hyperplanes, so its witness is a
+        # chain or the rank <= 2 reason
+        return FreenessVerdict("InductivelyFree", exps, witness={
+            "chain": [step] + v1.witness.get("chain", [])})
     # the search failed: look for a cheap non-freeness certificate among
     # proper localizations of rank >= 3 before giving up
     found = _nonfree_localization(lat or build_lattice(arr), proper=True)
     if found is not None:
         flat, inner = found
-        v = FreenessVerdict("NotFree", witness=dict(
+        return FreenessVerdict("NotFree", witness=dict(
             inner, reason="nonfree_localization", flat_hyperplanes=flat))
-        memo[key] = v
-        return v
-    reason = "budget" if budget_hit else "no_chain"
-    v = FreenessVerdict("Unknown", witness={"reason": reason})
-    if not budget_hit:
-        memo[key] = v
-    return v
+    return FreenessVerdict("Unknown", witness={
+        "reason": "budget" if cut_short else "no_chain"})
 
 
 def _residual_witness(p, rep):
@@ -365,16 +362,6 @@ def _nonfree_localization(lat, proper):
         if not rep.factors_integrally:
             return _bits(f.mask), _residual_witness(p, rep)
     return None
-
-
-def _submultiset(a, b):
-    items = list(b)
-    for x in a:
-        if x in items:
-            items.remove(x)
-        else:
-            return False
-    return True
 
 
 def nonfree_by_localization(arr):

@@ -74,6 +74,22 @@ def test_parse_weyl_token():
     assert parse_weyl_token("S4") == (4,)
     with pytest.raises(InvalidParams):
         parse_weyl_token("T2")
+    # "\u00b2" (superscript two) is a digit that int() rejects; any
+    # Unicode decimal digit int() reads
+    with pytest.raises(InvalidParams, match="bad weyl factor"):
+        parse_weyl_token("S\u00b2")
+    assert parse_weyl_token("S\u0663") == (3,)
+
+
+def test_non_decimal_digits_are_usage_errors(capsys, tmp_path):
+    code, out, err = run(capsys, ["gen", "coxeter", "--weyl", "S\u00b2"])
+    assert (code, out) == (1, "")
+    assert err == "error: bad weyl factor 'S\u00b2'\n"
+    path = tmp_path / "dim.arr"
+    path.write_text("dim \u00b2\nh 1 0\n")
+    code, _, err = run(capsys, ["analyze", str(path), "--poincare"])
+    assert (code, err) == (1, "error: line 1: dim needs one integer "
+                              "argument\n")
 
 
 def test_roundtrip_shipped_files():

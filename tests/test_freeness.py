@@ -1,9 +1,10 @@
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import cmarr.freeness as free_mod
 from cmarr.errors import (DimensionMismatch, ExponentMismatch,
@@ -256,6 +257,50 @@ def test_inductive_budget_exhaustion():
     assert v.status == "Unknown"
 
 
+# a rank-3 arrangement whose search ends with no chain: every candidate's
+# children are searched to the end
+NO_CHAIN3 = Arrangement(3, [(2, -1, 0), (0, 1, 0), (1, 1, 0), (1, 1, -1),
+                            (1, -1, 0), (1, -2, 0), (1, 0, 2)])
+# NO_CHAIN3 times a line, plus the coloop
+NO_CHAIN4 = Arrangement(4, [c + (0,) for c in NO_CHAIN3.hyperplanes]
+                        + [(0, 0, 0, 1)])
+
+
+def test_no_chain_is_not_reported_as_budget():
+    assert inductive_freeness(NO_CHAIN3).to_dict() == {
+        "status": "Unknown", "exponents": [],
+        "witness": {"reason": "no_chain"}, "nodes_used": 5}
+    # a child reads Unknown for lack of a chain, not of budget, and so
+    # must the parent
+    for lat in (None, build_lattice(NO_CHAIN4)):
+        v = inductive_freeness(NO_CHAIN4, lattice=lat)
+        assert v.to_dict() == {
+            "status": "Unknown", "exponents": [],
+            "witness": {"reason": "no_chain"}, "nodes_used": 10}
+
+
+BUDGET_GOLDEN = Path(__file__).resolve().parent / "data" \
+    / "freeness_budget_golden.json"
+BUDGET_CASES = {
+    "G8": gen_G8,
+    "coxeter-S6": lambda: gen_coxeter_namikawa((6,)),
+    "wreath-A3-2": lambda: gen_wreath("A3", 4, 2),
+    "wreath-A3-2-minus-7": lambda: deletion(gen_wreath("A3", 4, 2), 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_CASES))
+def test_budget_limited_verdict_golden(name):
+    # the verdict, nodes_used included, at Fibonacci budgets 1 to 89
+    golden = json.loads(BUDGET_GOLDEN.read_text())[name]
+    arr = BUDGET_CASES[name]()
+    for budget, want in golden.items():
+        verdict = inductive_freeness(arr, budget=int(budget))
+        assert json.loads(json.dumps(verdict.to_dict())) == want, budget
+        if verdict.status == "Unknown":
+            assert verdict.nodes_used == int(budget)
+
+
 def test_nonfree_by_localization_boolean():
     assert nonfree_by_localization(Arrangement(3, [(1, 0, 0), (0, 1, 0),
                                                    (0, 0, 1)])) is None
@@ -320,14 +365,15 @@ def test_nonfree_by_localization_matches_search(base, deleted):
 
 
 @st.composite
-def localization_cases(draw):
-    """Up to 8 integer covectors in Q^3 or Q^4 with small entries and
-    frequent zeros, so that flats of rank 3 often carry more than three
-    hyperplanes."""
+def localization_cases(draw, min_size=0, max_size=8):
+    """min_size to max_size integer covectors in Q^3 or Q^4 with small
+    entries and frequent zeros, so that flats of rank 3 often carry more
+    than three hyperplanes."""
     d = draw(st.integers(3, 4))
     entry = st.one_of(st.just(0), st.integers(-2, 2))
     vec = st.lists(entry, min_size=d, max_size=d).filter(any)
-    return Arrangement(d, draw(st.lists(vec, max_size=8)))
+    return Arrangement(d, draw(st.lists(vec, min_size=min_size,
+                                        max_size=max_size)))
 
 
 @settings(deadline=None, max_examples=100)
@@ -578,3 +624,41 @@ def test_search_essentializes_only_coloop_deletions(make, monkeypatch):
     monkeypatch.setattr(free_mod, "essentialize", recording)
     assert inductive_freeness(make()).status == "InductivelyFree"
     assert all(rank < dim for rank, dim in seen[1:]), seen
+
+
+# ---------------------------------------------------------------------------
+# the search against the definition of inductive freeness
+
+
+def _reference_exponents(arr):
+    """exp(A), zeros included, when A is inductively free by the definition
+    (A is empty, or some H has A' and A'' inductively free with exp(A'') a
+    sub-multiset of exp(A'), and then exp(A) = exp(A'') + {|A| - |A''|}),
+    else None.  Every hyperplane is tried: no exponent filter, no memo."""
+    n = len(arr.hyperplanes)
+    if n == 0:
+        return (0,) * arr.dim
+    if arr.dim == 1:
+        # the one hyperplane {0}: A'' is empty in dim 0, A' empty in dim 1
+        return (1,)
+    for h in range(n):
+        rst = restriction(arr, h)
+        exp2 = _reference_exponents(rst)
+        if exp2 is None:
+            continue
+        exp1 = _reference_exponents(deletion(arr, h))
+        if exp1 is not None and Counter(exp2) <= Counter(exp1):
+            return tuple(sorted(exp2 + (n - len(rst.hyperplanes),)))
+    return None
+
+
+@settings(deadline=None, max_examples=150)
+@given(localization_cases(4, 7))
+@example(NO_CHAIN3)
+@example(NO_CHAIN4)
+def test_search_agrees_with_the_definition(arr):
+    want = _reference_exponents(arr)
+    v = inductive_freeness(arr)
+    assert (v.status == "InductivelyFree") == (want is not None), v
+    if want is not None:
+        assert (0,) * (arr.dim - arr.rank) + v.exponents == want
