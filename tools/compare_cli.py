@@ -7,7 +7,6 @@ come from `workloads.emit_inputs`, run once per seed with the first tree's
 cmarr, so both trees read the same bytes.  Standard library only.
 
     python3 tools/compare_cli.py OLD_SRC NEW_SRC [--seeds 1 2]
-                                 [--workloads free-search ...]
 
 Exits 0 when every run matches, 1 when any differs.
 """
@@ -59,15 +58,13 @@ def main(argv=None):
     ap.add_argument("old_src")
     ap.add_argument("new_src")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1])
-    ap.add_argument("--workloads", nargs="+", default=sorted(
-        workloads.WORKLOADS), choices=sorted(workloads.WORKLOADS))
     args = ap.parse_args(argv)
     # emit_inputs imports cmarr: this process takes it from the first tree
     sys.path.insert(0, str(Path(args.old_src).resolve()))
     runs = differing = 0
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
-            for workload in args.workloads:
+            for workload in sorted(workloads.WORKLOADS):
                 texts = workloads.emit_inputs(workload, seed)
                 for job_id, _, _, flags in workloads.WORKLOADS[workload]:
                     path = os.path.join(tmp, job_id + ".arr")
