@@ -173,23 +173,28 @@ class IntersectionLattice:
         return jx
 
 
-def flat_children(covs, x, rows):
-    """The flats covering flat x, as {residual: child mask}.
+def flat_children(covs, x, rows, done):
+    """The flats covering flat x that hold no hyperplane of `done` outside
+    x, as {residual: child mask}.
 
-    `rows` are integer echelon rows spanning x's covectors, and the rows of
-    a child are `echelon_insert(rows, residual)`.  Each hyperplane i outside
-    x is reduced once, to a primitive residual that is zero at every pivot
-    of `rows`; residuals are compared as tuples, and two hyperplanes give
-    the same residual exactly when they span the same child together with
-    x.  So the first hyperplane with a new residual starts a child, and
-    every later one with that residual is absorbed into it and starts none
-    (the skip rule).  The reduction stays in the integers and only
-    multiplies by nonzero scalars and subtracts span elements, so
-    membership in a span is decided exactly, with no modulus or prime.
+    `done` is x together with the covers of x found so far.  Two covers of
+    x share no hyperplane outside x, so every other cover of x holds none
+    of `done` outside x, and the hyperplanes outside `done` give its whole
+    mask.  `rows` are integer echelon rows spanning x's covectors, and the
+    rows of a child are `echelon_insert(rows, residual)`.  Each hyperplane
+    i outside `done` is reduced once, to a primitive residual that is zero
+    at every pivot of `rows`; residuals are compared as tuples, and two
+    hyperplanes give the same residual exactly when they span the same
+    child together with x.  So the first hyperplane with a new residual
+    starts a child, and every later one with that residual is absorbed
+    into it and starts none (the skip rule).  The reduction stays in the
+    integers and only multiplies by nonzero scalars and subtracts span
+    elements, so membership in a span is decided exactly, with no modulus
+    or prime.
     """
     children = {}
     for i in range(len(covs)):
-        if x >> i & 1:
+        if done >> i & 1:
             continue
         res = reduce_covector(covs[i], rows)
         if res in children:
@@ -270,6 +275,14 @@ def build_lattice(arr):
     representative, so lies in the orbit of a child of x.  Without a stable
     layout W is trivial and every flat is its own orbit.
 
+    Each flat is reduced into existence once.  A known mask y of the next
+    level with x & ~y == 0 is a cover of the representative x, and holds
+    x's lowest hyperplane.  So while a level is filled, every mask found
+    for it, orbit members included, is listed under each of its hyperplanes
+    that is the lowest hyperplane of a representative, and x's known covers
+    are read off one list.  Their hyperplanes are left out of x's
+    reductions, and `flat_children` finds only the covers not known yet.
+
     Mobius numbers are constant on orbits.  Summing Weisner's theorem
     (Stanley, EC I, 3.9) over the n(Y) hyperplanes containing Y gives
     n(Y) mu(Y) = -sum of (n(Y) - n(X)) mu(X) over the covers X < Y, a sum
@@ -287,18 +300,30 @@ def build_lattice(arr):
     while True:
         orbit_of = {}
         orbits = []  # [mask, rows, size, weighted sum of cover terms]
+        holding = [[] for _ in covs]  # per hyperplane in lows, masks found
+        lows = 0  # the lowest hyperplane of each representative
+        for x, *_ in reps:
+            lows |= x & -x
         for x, rows, size, mu in reps:
             weight = size * mu
             n_x = x.bit_count()
-            for res, y in flat_children(covs, x, rows).items():
-                k = orbit_of.get(y)
-                if k is None:
-                    k = len(orbits)
+            covers = [y for y in holding[(x & -x).bit_length() - 1]
+                      if not x & ~y] if x else []
+            done = x
+            for y in covers:
+                done |= y
+            for res, y in flat_children(covs, x, rows, done).items():
+                if y not in orbit_of:
                     orbit = _orbit(y, gens)
-                    orbit_of.update(dict.fromkeys(orbit, k))
+                    orbit_of.update(dict.fromkeys(orbit, len(orbits)))
+                    for z in orbit:
+                        for h in _bits(z & lows):
+                            holding[h].append(z)
                     orbits.append([y, echelon_insert(rows, res), len(orbit),
                                    0])
-                orbits[k][3] += weight * (y.bit_count() - n_x)
+                covers.append(y)
+            for y in covers:
+                orbits[orbit_of[y]][3] += weight * (y.bit_count() - n_x)
         if not orbits:
             break
         r = len(by_rank)

@@ -540,6 +540,30 @@ def test_verdict_golden_with_lattice(name):
     assert json.loads(json.dumps(verdict.to_dict())) == golden
 
 
+# the scale frontier: wreath-A4-3, and wreath-D4-2 with no symmetry
+FRONTIER_GOLDEN = Path(__file__).resolve().parent / "data" \
+    / "frontier_golden.json"
+
+
+def test_wreath_a4_3_verdict_golden():
+    golden = json.loads(FRONTIER_GOLDEN.read_text())["wreath-A4-3"]
+    verdict = inductive_freeness(gen_wreath("A4", 5, 3))
+    assert json.loads(json.dumps(verdict.to_dict())) \
+        == golden["inductive_freeness"]
+
+
+def test_wreath_d4_2_plain_build_golden():
+    golden = json.loads(FRONTIER_GOLDEN.read_text())["wreath-D4-2"]
+    arr = gen_wreath("D4", 6, 2)
+    assert arr.weyl is None
+    lat = build_lattice(arr)
+    assert len(lat.flats) == golden["flats"]
+    assert list(poincare_polynomial(lat).coeffs) == golden["poincare"]
+    verdict = inductive_freeness(arr, lattice=lat)
+    assert json.loads(json.dumps(verdict.to_dict())) \
+        == golden["inductive_freeness"]
+
+
 def test_inductive_freeness_rejects_foreign_lattice():
     arr = gen_G8()
     # equal hyperplanes, but another object: the lattice is not arr's

@@ -696,9 +696,9 @@ def _flat_children_calls(monkeypatch, arr):
     calls = []
     real = lattice_mod.flat_children
 
-    def counting(covs, x, rows):
+    def counting(covs, x, rows, done):
         calls.append(x)
-        return real(covs, x, rows)
+        return real(covs, x, rows, done)
 
     monkeypatch.setattr(lattice_mod, "flat_children", counting)
     return calls, build_lattice(arr)
@@ -723,6 +723,41 @@ def test_plain_build_reduces_every_flat(monkeypatch, make):
     assert len(calls) == len(lat.flats)
     assert [sorted(level) for level in lat.representatives] == [
         sorted(f.mask for f in level) for level in lat.by_rank]
+
+
+def _reductions(arr):
+    """The number of reduce_covector calls in build_lattice(arr), and the
+    lattice."""
+    calls = []
+    real = lattice_mod.reduce_covector
+
+    def counting(vec, rows):
+        calls.append(vec)
+        return real(vec, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice_mod, "reduce_covector", counting)
+        lat = build_lattice(arr)
+    return len(calls), lat
+
+
+def _assert_each_flat_reduced_once(arr):
+    """Each flat Y is reduced into existence from one flat it covers, by one
+    reduction per hyperplane of Y outside that flat, and never again."""
+    n, lat = _reductions(arr)
+    assert n <= sum(f.mask.bit_count() for f in lat.flats)
+
+
+@pytest.mark.parametrize("make", [_g8_minus_one,
+                                  lambda: gen_wreath("D4", 6, 2)])
+def test_build_reduces_each_flat_once(make):
+    _assert_each_flat_reduced_once(make())
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(integer_arrangements(), symmetric_arrangements()))
+def test_build_reduces_each_flat_once_random(arr):
+    _assert_each_flat_reduced_once(arr)
 
 
 def test_wreath_a4_3_golden():
