@@ -14,11 +14,22 @@ Files written by emit_arrangement are in essential coordinates (canonical
 form); parse o emit is the identity on canonical files.
 """
 
-from fractions import Fraction
-
 from .errors import EmptyBody, InvalidParams, ParseError, ZeroCovector
-from .generators import project_zero_sum
+from .exactlin import project_zero_sum
 from .lattice import Arrangement
+
+
+def _parse_entry(token):
+    """One covector entry: the value `Fraction(token)` has, as an int when
+    `int` accepts the token.  `int` accepts a subset of what `Fraction`
+    accepts, with equal values, so `fractions` is imported only for an
+    entry written a/b or as a decimal.  Raises ValueError or
+    ZeroDivisionError as `Fraction` does."""
+    try:
+        return int(token)
+    except ValueError:
+        from fractions import Fraction
+        return Fraction(token)
 
 
 def parse_weyl_token(token):
@@ -96,7 +107,7 @@ def parse_arrangement_with_warnings(text):
                     "expected %d entries, got %d" % (dim, len(entries)),
                     lineno)
             try:
-                cov = tuple(Fraction(e) for e in entries)
+                cov = tuple(_parse_entry(e) for e in entries)
             except (ValueError, ZeroDivisionError):
                 raise ParseError("bad covector entry", lineno)
             if all(x == 0 for x in cov):

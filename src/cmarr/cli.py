@@ -13,17 +13,13 @@ from .errors import (BadPrime, CmarrError, DimensionMismatch, EmptyBody,
                      ZeroCovector)
 from .freeness import (DEFAULT_BUDGET, exponents_from_poincare,
                        inductive_freeness)
-from .generators import (default_group_order, gen_G4, gen_G8,
-                         gen_coxeter_namikawa, gen_cyclic, gen_dihedral_even,
-                         gen_wreath)
 # _interpolate_counts, complement_count and _counts_parallel go unused, but
 # bench/trace_job.WRAPS and test_bench_contract name them (ROADMAP dir. 3)
 from .lattice import (_interpolate_counts, admissible_primes, build_lattice,
                       characteristic_polynomial, complement_count,
                       char_poly_finite_field, poincare_polynomial)
-from .osalg import nbc_basis
-from .symmetry import (audit_table1, contains_subarrangement,
-                       hyperplane_orbits, is_stable, terminalization_count)
+from .symmetry import (contains_subarrangement, hyperplane_orbits, is_stable,
+                       terminalization_count)
 
 SCHEMA_VERSION = 1
 
@@ -37,8 +33,23 @@ class _StrictUnknown(Exception):
     pass
 
 
+# osalg and generators load on the first call of one of these: most jobs
+# call neither.  run_analyze calls through them, so a wrapper bound to these
+# names sees every call.
+def nbc_basis(arr, lattice):
+    from . import osalg
+    return osalg.nbc_basis(arr, lattice=lattice)
+
+
+def gen_coxeter_namikawa(spec):
+    from . import generators
+    return generators.gen_coxeter_namikawa(spec)
+
+
 def run_generate(name, args):
     """Build the requested arrangement; raises UnknownGenerator/InvalidParams."""
+    from .generators import (default_group_order, gen_G4, gen_G8, gen_cyclic,
+                             gen_dihedral_even, gen_wreath)
     if name == "cyclic":
         if args.ell is None:
             raise InvalidParams("gen cyclic requires --ell")
@@ -223,6 +234,7 @@ def render_report(report):
 
 
 def run_audit_table():
+    from .symmetry import audit_table1
     reports = audit_table1()
     return {
         "schema_version": SCHEMA_VERSION,

@@ -33,6 +33,10 @@ class IndexOutOfRange(CmarrError, IndexError):
     """Hyperplane index outside the arrangement."""
 
 
+class UnknownName(CmarrError, AttributeError):
+    """A name the package does not export."""
+
+
 class FlatNotInLattice(CmarrError):
     """A flat or lattice does not belong to the arrangement at hand."""
 

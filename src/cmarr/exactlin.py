@@ -17,13 +17,15 @@ reduces each flat into existence once, against the rows of one flat it
 covers, and reduces no hyperplane of a cover it already knows; circuits
 and nbc sets read joins off the lattice and run no elimination.  `rref`
 over Fraction runs only where the unique reduced echelon basis is itself
-the output: `Subspace` and `common_kernel`.
+the output: `Subspace` and `common_kernel`.  Those rational functions
+import `fractions` when called, so a job on integer covectors never loads
+it.  `project_zero_sum` essentializes covectors written in the ambient
+coordinates of zero-sum blocks.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import ZeroCovector, DimensionMismatch
+from .errors import DimensionMismatch, InvalidParams, ZeroCovector
 
 
 def normalize_covector(raw):
@@ -48,6 +50,21 @@ def normalize_covector(raw):
     return tuple(ints)
 
 
+def project_zero_sum(ambient_covector, blocks):
+    """Essentialize an ambient covector: per block, substitute the index-0
+    coordinate by minus the sum of the others and drop it."""
+    out = []
+    pos = 0
+    for m in blocks:
+        seg = ambient_covector[pos:pos + m]
+        out.extend(seg[i] - seg[0] for i in range(1, m))
+        pos += m
+    if pos != len(ambient_covector):
+        raise InvalidParams("blocks %r do not cover length %d"
+                            % (list(blocks), len(ambient_covector)))
+    return normalize_covector(out)
+
+
 def _check_same_dim(covectors):
     dims = {len(c) for c in covectors}
     if len(dims) > 1:
@@ -60,6 +77,7 @@ def rref(rows):
 
     The output is the canonical basis of the row span.
     """
+    from fractions import Fraction
     mat = [[Fraction(x) for x in row] for row in rows]
     if not mat:
         return []
@@ -173,6 +191,7 @@ class Subspace:
     __slots__ = ("dim_ambient", "basis")
 
     def __init__(self, dim_ambient, rows, already_canonical=False):
+        from fractions import Fraction
         self.dim_ambient = dim_ambient
         if already_canonical:
             self.basis = tuple(tuple(Fraction(x) for x in r) for r in rows)
@@ -200,7 +219,7 @@ class Subspace:
 
     @classmethod
     def full(cls, dim_ambient):
-        rows = [[Fraction(int(i == j)) for j in range(dim_ambient)]
+        rows = [[int(i == j) for j in range(dim_ambient)]
                 for i in range(dim_ambient)]
         return cls(dim_ambient, rows, already_canonical=True)
 
@@ -210,6 +229,7 @@ def common_kernel(covectors, dim=None):
 
     common_kernel([], dim=d) is the full space Q^d.
     """
+    from fractions import Fraction
     covectors = list(covectors)
     d = _check_same_dim(covectors)
     if d is None:
@@ -268,6 +288,7 @@ def restrict_covectors_to(sub, covectors):
 
 def in_row_span(vec, reduced_rows):
     """True iff vec lies in the span of rows already in reduced echelon form."""
+    from fractions import Fraction
     residual = [Fraction(x) for x in vec]
     for row in reduced_rows:
         lead = None

@@ -100,15 +100,21 @@ def _divide_linear(coeffs, b):
 
 
 def deletion(arr, h):
-    """The arrangement with hyperplane h removed; same ambient dimension."""
+    """The arrangement with hyperplane h removed; same ambient dimension.
+
+    arr's covectors are already normalized and distinct, so the node is
+    built from slices of them, with no second pass of the constructor.
+    """
     if not 0 <= h < len(arr.hyperplanes):
         raise IndexOutOfRange("hyperplane index %d out of range" % h)
-    covs = [c for i, c in enumerate(arr.hyperplanes) if i != h]
-    tags = None
-    if arr.tags is not None:
-        tags = [t for i, t in enumerate(arr.tags) if i != h]
-    return Arrangement(arr.dim, covs, label=arr.label, tags=tags,
-                       weyl=arr.weyl)
+    out = Arrangement.__new__(Arrangement)
+    out.dim = arr.dim
+    out.hyperplanes = arr.hyperplanes[:h] + arr.hyperplanes[h + 1:]
+    out.label = arr.label
+    out.tags = None if arr.tags is None else arr.tags[:h] + arr.tags[h + 1:]
+    out.weyl = arr.weyl
+    out._rank = None
+    return out
 
 
 def restriction(arr, h):

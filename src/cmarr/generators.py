@@ -11,7 +11,7 @@ from collections import namedtuple
 
 from .errors import (GeneratorInvariant, InvalidN, InvalidOrder,
                      InvalidParams, UnsupportedType)
-from .exactlin import normalize_covector
+from .exactlin import normalize_covector, project_zero_sum
 from .intpoly import IntPolynomial
 from .lattice import Arrangement
 
@@ -134,21 +134,6 @@ def _block_difference(m, i, j):
     amb[i] += 1
     amb[j] -= 1
     return tuple(amb[t] - amb[0] for t in range(1, m))
-
-
-def project_zero_sum(ambient_covector, blocks):
-    """Essentialize an ambient covector: per block, substitute the index-0
-    coordinate by minus the sum of the others and drop it."""
-    out = []
-    pos = 0
-    for m in blocks:
-        seg = ambient_covector[pos:pos + m]
-        out.extend(seg[i] - seg[0] for i in range(1, m))
-        pos += m
-    if pos != len(ambient_covector):
-        raise InvalidParams("blocks %r do not cover length %d"
-                            % (list(blocks), len(ambient_covector)))
-    return normalize_covector(out)
 
 
 def gen_coxeter_namikawa(spec):

@@ -1,7 +1,5 @@
 """Integer-coefficient polynomials in one variable t, exact arithmetic only."""
 
-from fractions import Fraction
-
 
 class IntPolynomial:
     """Immutable polynomial; coeffs[i] is the coefficient of t^i."""
@@ -120,6 +118,7 @@ def lagrange_interpolate(points):
     Returns a list of Fraction coefficients (ascending).  Exact arithmetic;
     callers decide whether non-integer coefficients are an error.
     """
+    from fractions import Fraction
     n = len(points)
     coeffs = [Fraction(0)] * n
     for i, (xi, yi) in enumerate(points):

@@ -10,9 +10,9 @@ from collections import namedtuple
 from math import factorial
 
 from .errors import LayoutMismatch, NonIntegral, NotStable
+from .exactlin import project_zero_sum
 from .lattice import Arrangement, _bits, _mask_tables, _orbit
 from .freeness import exponents_from_poincare
-from .generators import project_zero_sum, table1_rows
 
 
 class BlockPermutation:
@@ -48,7 +48,8 @@ class BlockPermutation:
 
         Per block: lift to ambient coefficients (0, c_1, ..., c_{m-1}) and
         move the coefficient at position i to position sigma(i); then
-        `project_zero_sum` eliminates each block's index-0 coordinate again.
+        `exactlin.project_zero_sum` eliminates each block's index-0
+        coordinate again.
         """
         if len(cov) != sum(m - 1 for m in self.blocks):
             raise LayoutMismatch("covector length %d does not fit blocks %r"
@@ -197,6 +198,7 @@ def audit_table1(rows=None):
     printed free with rank 2, the exponents exist.  Returns a list of dicts.
     """
     if rows is None:
+        from .generators import table1_rows
         rows = table1_rows()
     reports = []
     for row in rows:

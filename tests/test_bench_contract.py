@@ -117,3 +117,24 @@ def test_each_job_builds_one_lattice(monkeypatch, make, flags):
     args = build_parser().parse_args(["analyze", "x.arr", *flags])
     cmarr.cli.run_analyze(arr, args)
     assert calls == [arr]
+
+
+def test_analyze_calls_osalg_and_generators_through_cli(monkeypatch):
+    """cmarr.cli.nbc_basis and cmarr.cli.gen_coxeter_namikawa import their
+    modules on the first call; bench/trace_job.py wraps them by name, so
+    run_analyze must call each through the cli attribute, once per job."""
+    calls = []
+    for name in ("nbc_basis", "gen_coxeter_namikawa"):
+        real = getattr(cmarr.cli, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cmarr.cli, name, counted)
+    args = build_parser().parse_args(["analyze", "x.arr", "--os",
+                                      "--stability"])
+    report = cmarr.cli.run_analyze(gen_G8(), args)
+    assert sorted(calls) == ["gen_coxeter_namikawa", "nbc_basis"]
+    assert report["os"]["total"] == 336
+    assert report["stability"]["contains_coxeter"]

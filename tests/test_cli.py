@@ -2,18 +2,24 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import cmarr.cli as cli_mod
 from cmarr import errors
-from cmarr.arrfile import (emit_arrangement, parse_arrangement,
+from cmarr.arrfile import (_parse_entry, emit_arrangement, parse_arrangement,
                            parse_arrangement_with_warnings, parse_weyl_token)
 from cmarr.cli import main
 from cmarr.errors import EmptyBody, InvalidParams, ParseError
+from cmarr.exactlin import project_zero_sum
 from cmarr.generators import gen_G8
+from cmarr.lattice import Arrangement
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def data_text(name):
@@ -53,6 +59,82 @@ def test_parse_rationals_and_comments():
     arr = parse_arrangement(
         "# header comment\ndim 2  # trailing\nh 1/3 -1/6\n")
     assert arr.hyperplanes == ((2, -1),)
+
+
+# covector entries as a file may write them: integers with signs, `_`
+# separators, leading zeros and non-ASCII decimal digits, a/b, decimals,
+# exponents, and junk over the same characters
+_ENTRY_TOKENS = st.one_of(
+    st.from_regex(r"\A[+-]?\d+(_\d+)*\Z"),
+    st.from_regex(r"\A[+-]?0*\d{1,3}/0*\d{1,3}\Z"),
+    st.from_regex(r"\A[+-]?\d*\.?\d*([eE][+-]?\d{1,2})?\Z"),
+    st.integers().map(str),
+    st.fractions().map(str),
+    st.text(alphabet="0123456789+-_/.eExj\u0663\uff17\u00b2", max_size=8),
+)
+
+
+def _fraction_or_error(token):
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e)
+
+
+@settings(deadline=None, max_examples=500)
+@given(_ENTRY_TOKENS)
+def test_entry_parser_reads_what_fraction_reads(token):
+    """An entry is read as an int when int() accepts it and as a Fraction
+    otherwise; either way its value, or its error, is Fraction(token)'s."""
+    want = _fraction_or_error(token)
+    try:
+        got = _parse_entry(token)
+    except (ValueError, ZeroDivisionError) as e:
+        got = type(e)
+    assert got == want
+    assert type(got) in (int, Fraction) or got is want
+
+
+@settings(deadline=None, max_examples=200)
+@given(_ENTRY_TOKENS)
+def test_file_entries_read_as_fractions(token):
+    assume(token.split() == [token] and "#" not in token)
+    text = "dim 2\nh 1 %s\n" % token
+    value = _fraction_or_error(token)
+    if not isinstance(value, Fraction):
+        with pytest.raises(ParseError, match="line 2: bad covector entry"):
+            parse_arrangement(text)
+    else:
+        assert parse_arrangement(text).hyperplanes == \
+            Arrangement(2, [(Fraction(1), value)]).hyperplanes
+
+
+_RATIONAL_FILE = """label rational
+dim 5
+project-zero-sum blocks=2,3
+h 1/2 -1/2 0 0 1/3 T
+h 3 0.5 1e1 -2/6 0 F
+h 0 0 1 -1 0 T
+h -1_0 10 0 0 0 F
+h 0 07 0 0 0 T
+"""
+
+
+def test_rational_file_parses_as_with_fractions():
+    """The same Arrangement as when every entry is read by Fraction."""
+    rows = [line.split()[1:] for line in _RATIONAL_FILE.splitlines()
+            if line.startswith("h ")]
+    arr, warnings = parse_arrangement_with_warnings(_RATIONAL_FILE)
+    assert warnings == ["1 duplicate hyperplane line dropped"]
+    assert (arr.label, arr.dim, arr.weyl) == ("rational", 3, (2, 3))
+    assert arr.hyperplanes == ((3, 0, -1), (15, 62, 60), (0, 2, 1),
+                               (1, 0, 0))
+    assert arr.tags == ("T", "F", "T", "F")
+    projected = Arrangement(
+        3, [project_zero_sum([Fraction(e) for e in row[:-1]], (2, 3))
+            for row in rows], tags=[row[-1] for row in rows])
+    assert (arr.hyperplanes, arr.tags) == (projected.hyperplanes,
+                                           projected.tags)
 
 
 def test_parse_errors_carry_line_numbers():
@@ -364,21 +446,29 @@ def test_help_exits_0(capsys):
 
 
 # Modules a fresh `import cmarr.cli` must not load: only the unused
-# _counts_parallel imports concurrent.futures, only table1_rows reads a
-# bundled file, and the rest come with dataclasses or typing.
+# _counts_parallel imports concurrent.futures, only table1_rows (in
+# generators, which the CLI imports on the first call that needs it) reads
+# a bundled file through importlib.resources, and the rest come with
+# dataclasses or typing.
 UNLOADED_BY_CLI_IMPORT = ("concurrent.futures", "dataclasses", "inspect",
                           "ast", "typing", "importlib.resources")
 
+# Modules only some `cmarr analyze` stages need: osalg for --os, generators
+# for --stability, and fractions, with the decimal and numbers it imports,
+# for --ff-primes's interpolation or a rational entry in the input file.
+STAGE_MODULES = ("cmarr.osalg", "cmarr.generators", "fractions", "decimal",
+                 "numbers")
 
-def _loaded_after(statement, modules):
-    """The names in `modules` that `import cmarr.cli` followed by
+
+def _loaded_after(statement, modules, imported="cmarr.cli"):
+    """The names in `modules` that `import <imported>` followed by
     `statement` leaves in sys.modules of a fresh interpreter."""
     # -S: modules that site's .pth files preload would hide an import
-    src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, cmarr.cli\n%s\nprint(' '.join(m for m in %r "
-            "if m in sys.modules), file=sys.stderr)" % (statement, modules))
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, %s\n%s\nprint(' '.join(m for m in %r "
+            "if m in sys.modules), file=sys.stderr)"
+            % (imported, statement, modules))
     return subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           check=True, capture_output=True, text=True,
                           timeout=60).stderr.split()
@@ -386,6 +476,32 @@ def _loaded_after(statement, modules):
 
 def test_cli_import_leaves_thread_pool_unloaded():
     assert _loaded_after("", UNLOADED_BY_CLI_IMPORT) == []
+
+
+def test_package_import_loads_no_submodule():
+    submodules = tuple("cmarr." + p.stem
+                       for p in sorted((SRC / "cmarr").glob("*.py"))
+                       if p.stem != "__init__")
+    assert "cmarr.lattice" in submodules
+    assert _loaded_after("", submodules, imported="cmarr") == []
+
+
+def _g8_job(tmp_path, flags):
+    path = tmp_path / "g8.arr"
+    path.write_text(emit_arrangement(gen_G8()))
+    assert "weyl S4" in path.read_text()
+    return "assert cmarr.cli.main(%r) == 0" % (["analyze", str(path)]
+                                               + flags,)
+
+
+def test_poincare_free_job_leaves_other_stages_unloaded(tmp_path):
+    job = _g8_job(tmp_path, ["--poincare", "--free", "--json"])
+    assert _loaded_after(job, STAGE_MODULES) == []
+
+
+def test_os_stability_ff_job_loads_its_stages(tmp_path):
+    job = _g8_job(tmp_path, ["--os", "--stability", "--ff-primes", "5"])
+    assert _loaded_after(job, STAGE_MODULES) == list(STAGE_MODULES)
 
 
 def test_threads_job_leaves_thread_pool_unloaded(tmp_path):

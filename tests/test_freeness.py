@@ -170,6 +170,37 @@ def test_deletion_bad_index():
         deletion(CONCURRENT3, 3)
 
 
+@st.composite
+def arrangement_and_index(draw):
+    dim = draw(st.integers(1, 4))
+    covs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim).filter(any),
+                         min_size=1, max_size=9))
+    tags = draw(st.none() | st.lists(st.sampled_from("TF"),
+                                     min_size=len(covs), max_size=len(covs)))
+    arr = Arrangement(dim, covs, label=draw(st.none() | st.just("a")),
+                      tags=tags, weyl=draw(st.none() | st.just((dim + 1,))))
+    return arr, draw(st.integers(0, len(arr) - 1))
+
+
+@settings(deadline=None, max_examples=200)
+@given(arrangement_and_index())
+def test_deletion_matches_the_constructor(case):
+    """deletion slices arr's covectors and tags; the constructor, which
+    normalizes and deduplicates them again, gives the same arrangement."""
+    arr, h = case
+    got = deletion(arr, h)
+    want = Arrangement(
+        arr.dim, [c for i, c in enumerate(arr.hyperplanes) if i != h],
+        label=arr.label, weyl=arr.weyl,
+        tags=None if arr.tags is None
+        else [t for i, t in enumerate(arr.tags) if i != h])
+    assert type(got) is Arrangement
+    assert (got.dim, got.hyperplanes, got.tags, got.label, got.weyl) == \
+        (want.dim, want.hyperplanes, want.tags, want.label, want.weyl)
+    assert got.canonical_key() == want.canonical_key()
+    assert got.rank == want.rank
+
+
 def test_restriction_boolean():
     arr = restriction(Arrangement(2, [(1, 0), (0, 1)]), 0)
     assert arr.dim == 1 and len(arr) == 1

@@ -50,7 +50,8 @@ def test_imports_are_used():
 
 def test_private_functions_are_read():
     # a module-level private function or class that no other code in
-    # src/cmarr reads, and that bench/trace_job.py does not wrap, is dead
+    # src/cmarr reads, and that bench/trace_job.py does not wrap, is dead;
+    # a dunder such as the package's __getattr__ is read by the interpreter
     wrapped = _wrapped_names()
     private = []
     readers = {}  # name -> {(file, top-level definition reading it)}
@@ -59,7 +60,7 @@ def test_private_functions_are_read():
         for top in tree.body:
             owner = getattr(top, "name", None)
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)) \
-                    and owner.startswith("_"):
+                    and owner.startswith("_") and not owner.endswith("__"):
                 private.append((path, top.lineno, owner))
             for node in ast.walk(top):
                 if isinstance(node, ast.Name) \
