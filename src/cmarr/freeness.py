@@ -285,7 +285,7 @@ def _decide(arr, memo, bud, known, lat):
     # identity p(A) = p(A') + t p(A''), and its rank-2 flats as masks.
     if known is None:
         lat = lat or build_lattice(arr)
-        known = poincare_polynomial(lat), [f.mask for f in lat.by_rank[2]]
+        known = poincare_polynomial(lat), lat.masks[2]
     p, lines = known
     rep = exponents_from_poincare(p)
     if not rep.factors_integrally:
@@ -356,17 +356,18 @@ def _residual_witness(p, rep):
 
 def _nonfree_localization(lat, proper):
     """(sorted hyperplanes of X, residual witness of pi(A_X)) for the first
-    flat X of rank >= 3 in lat.flats order whose localization's Poincare
-    polynomial does not factor, or None.  `proper` skips the flat on every
-    hyperplane; rank <= 2 localizations are always free."""
+    flat X of rank >= 3, in the order of lat.masks, whose localization's
+    Poincare polynomial does not factor, or None.  `proper` skips the flat
+    on every hyperplane; rank <= 2 localizations are always free."""
     n = len(lat.arrangement.hyperplanes)
-    for f in lat.flats:
-        if f.rank < 3 or proper and f.mask.bit_count() == n:
-            continue
-        p = localization_poincare(lat, f)
-        rep = exponents_from_poincare(p)
-        if not rep.factors_integrally:
-            return _bits(f.mask), _residual_witness(p, rep)
+    for r in range(3, len(lat.masks)):
+        for x in lat.masks[r]:
+            if proper and x.bit_count() == n:
+                continue
+            p = localization_poincare(lat, x, r)
+            rep = exponents_from_poincare(p)
+            if not rep.factors_integrally:
+                return _bits(x), _residual_witness(p, rep)
     return None
 
 

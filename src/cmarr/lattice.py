@@ -11,8 +11,8 @@ from operator import mul
 from .errors import (BadPrime, DimensionMismatch, FlatNotInLattice,
                      InconsistentCounts, InvalidParams, LayoutMismatch,
                      MobiusSignViolation, NotStable)
-# rref and in_row_span are unused here but stay bound in this module:
-# bench/trace_job.py wraps them by name.
+# common_kernel, rref and in_row_span are unused here but stay bound in this
+# module: bench/trace_job.py wraps them by name.
 from .exactlin import (common_kernel, echelon_insert, in_row_span,  # noqa: F401
                        normalize_covector, rank_of, reduce_covector, rref,
                        span_coordinates)
@@ -78,33 +78,24 @@ class Arrangement:
 
 
 class Flat:
-    """A flat of the lattice: an intersection of some of the hyperplanes.
+    """A view of one flat of a lattice: an intersection of some of the
+    hyperplanes.
 
     `mask` has bit i set iff hyperplane i contains the flat; `hyperplanes`
-    reads the same set as a frozenset of indices.  The subspace is computed
-    from the owning arrangement's covectors on first read.
+    reads the same set as a frozenset of indices.
     """
 
-    __slots__ = ("mask", "rank", "mobius", "_arr", "_subspace")
+    __slots__ = ("mask", "rank", "mobius", "_arr")
 
     def __init__(self, arrangement, mask, rank, mobius=None):
         self.mask = mask
         self.rank = rank
         self.mobius = mobius
         self._arr = arrangement
-        self._subspace = None
 
     @property
     def hyperplanes(self):
         return frozenset(_bits(self.mask))
-
-    @property
-    def subspace(self):
-        if self._subspace is None:
-            covs = self._arr.hyperplanes
-            self._subspace = common_kernel(
-                [covs[i] for i in _bits(self.mask)], dim=self._arr.dim)
-        return self._subspace
 
     def __repr__(self):
         return "Flat(rank=%d, hyperplanes=%s, mobius=%r)" % (
@@ -122,26 +113,34 @@ def _bits(mask):
 
 
 class IntersectionLattice:
-    """The flats of an arrangement, per rank and in one list.
+    """The flats of an arrangement as bitmasks, one level per rank.
 
-    `representatives[r]` holds one mask per W-orbit of rank-r flats, the
-    flats `build_lattice` reduced; under the trivial group, every flat.
+    `masks[r]` is the tuple of the rank-r flat masks, ordered by their
+    sorted hyperplane indices, and `mobius[r]` their Mobius numbers in the
+    same positions.  `representatives[r]` holds one mask per W-orbit of
+    rank-r flats, the flats `build_lattice` reduced; under the trivial
+    group, every flat.  `flats` builds a new `Flat` view of every flat, rank
+    by rank, on each read.
     """
 
-    __slots__ = ("arrangement", "flats", "by_rank", "bottom",
-                 "representatives", "_joins", "_rank", "_holding",
-                 "_indices")
+    __slots__ = ("arrangement", "masks", "mobius", "representatives",
+                 "_joins", "_rank", "_holding", "_indices")
 
-    def __init__(self, arrangement, flats, by_rank, representatives):
+    def __init__(self, arrangement, masks, mobius, representatives):
         self.arrangement = arrangement
-        self.flats = flats
-        self.by_rank = by_rank
+        self.masks = masks
+        self.mobius = mobius
         self.representatives = representatives
-        self.bottom = by_rank[0][0]
         self._joins = {}
         self._rank = None
         self._holding = {}  # rank -> per hyperplane, the masks holding it
         self._indices = None  # frozenset, filled by _critical_indices
+
+    @property
+    def flats(self):
+        return [Flat(self.arrangement, x, r, mu)
+                for r, level in enumerate(self.masks)
+                for x, mu in zip(level, self.mobius[r])]
 
     def joins(self, x):
         """The tuple whose entry h is join(x, h), the least flat holding flat
@@ -153,19 +152,20 @@ class IntersectionLattice:
         if jx is not None:
             return jx
         if self._rank is None:
-            self._rank = {f.mask: f.rank for f in self.flats}
+            self._rank = {y: r for r, level in enumerate(self.masks)
+                          for y in level}
         if x not in self._rank:
             raise FlatNotInLattice("mask %#x is not a flat" % x)
         jx = [x] * len(self.arrangement.hyperplanes)
         r = self._rank[x] + 1
-        if r < len(self.by_rank):
+        if r < len(self.masks):
             if r not in self._holding:
                 self._holding[r] = [[] for _ in jx]
-                for f in self.by_rank[r]:
-                    for h in _bits(f.mask):
-                        self._holding[r][h].append(f.mask)
+                for y in self.masks[r]:
+                    for h in _bits(y):
+                        self._holding[r][h].append(y)
             for y in self._holding[r][(x & -x).bit_length() - 1] if x \
-                    else [f.mask for f in self.by_rank[1]]:
+                    else self.masks[1]:
                 if not x & ~y:
                     for h in _bits(y & ~x):
                         jx[h] = y
@@ -294,7 +294,11 @@ def build_lattice(arr):
     """
     covs = arr.hyperplanes
     gens = _generator_tables(arr)
-    by_rank = [[Flat(arr, 0, 0, 1)]]
+    # format(y, digits)[::-1] is y's bits, lowest first; sorted largest
+    # first, these strings give the order of the sorted hyperplane indices,
+    # because within one level no flat's index list is a prefix of another's
+    digits = "0%db" % len(covs)
+    masks, mobius = [(0,)], [(1,)]
     reps = [(0, (), 1, 1)]  # (mask, echelon rows, orbit size, mu)
     rep_masks = [(0,)]
     while True:
@@ -326,7 +330,7 @@ def build_lattice(arr):
                 orbits[orbit_of[y]][3] += weight * (y.bit_count() - n_x)
         if not orbits:
             break
-        r = len(by_rank)
+        r = len(masks)
         reps = []
         for y, rows, size, acc in orbits:
             mu, rem = divmod(-acc, size * y.bit_count())
@@ -334,11 +338,12 @@ def build_lattice(arr):
                 raise MobiusSignViolation(
                     "Mobius sign violation at rank %d" % r)
             reps.append((y, rows, size, mu))
-        by_rank.append([Flat(arr, y, r, reps[orbit_of[y]][3])
-                        for y in sorted(orbit_of, key=_bits)])
+        masks.append(tuple(sorted(
+            orbit_of, key=lambda y: format(y, digits)[::-1], reverse=True)))
+        mobius.append(tuple(reps[orbit_of[y]][3] for y in masks[r]))
         rep_masks.append(tuple(y for y, *_ in reps))
-    flats = [f for lvl in by_rank for f in lvl]
-    return IntersectionLattice(arr, flats, by_rank, tuple(rep_masks))
+    return IntersectionLattice(arr, tuple(masks), tuple(mobius),
+                               tuple(rep_masks))
 
 
 def mobius_by_rank(levels):
@@ -364,38 +369,31 @@ def mobius_by_rank(levels):
     return out
 
 
-def _poincare(flats, rank):
-    coeffs = [0] * (rank + 1)
-    for f in flats:
-        coeffs[f.rank] += f.mobius * (-1) ** f.rank
-    return IntPolynomial(coeffs)
-
-
 def poincare_polynomial(lat):
     """pi(A, t) = sum_X mu(X) (-t)^rank(X)."""
-    return _poincare(lat.flats, len(lat.by_rank) - 1)
+    return IntPolynomial([(-1) ** r * sum(mus)
+                          for r, mus in enumerate(lat.mobius)])
 
 
-def localization_poincare(lat, flat):
-    """pi(A_X, t) for the localization at flat X, read off L(A).
+def localization_poincare(lat, x, rank):
+    """pi(A_X, t) for the localization at the flat X of mask x and rank
+    `rank`, read off L(A).
 
     The lower interval [V, X] of L(A) is the lattice of A_X, with the same
     Mobius values (Orlik-Terao, Arrangements of Hyperplanes, Ch. 2), so
-    pi(A_X, t) = sum over flats Z <= X of mu(Z) (-t)^rank(Z) and no
-    lattice is rebuilt.
+    pi(A_X, t) = sum over flats Z <= X of mu(Z) (-t)^rank(Z), from the
+    levels up to X's rank, and no lattice is rebuilt.
     """
-    x = flat.mask
-    return _poincare([z for z in lat.flats if z.mask & x == z.mask],
-                     flat.rank)
+    return IntPolynomial([
+        (-1) ** r * sum(mu for z, mu in zip(lat.masks[r], lat.mobius[r])
+                        if z & x == z)
+        for r in range(rank + 1)])
 
 
 def characteristic_polynomial(lat):
     """chi(A, t) = sum_X mu(X) t^{dim X}."""
-    d = lat.arrangement.dim
-    coeffs = [0] * (d + 1)
-    for f in lat.flats:
-        coeffs[d - f.rank] += f.mobius
-    return IntPolynomial(coeffs)
+    return IntPolynomial([0] * (lat.arrangement.dim + 1 - len(lat.mobius))
+                         + [sum(mus) for mus in reversed(lat.mobius)])
 
 
 def whitney_numbers(lat):
@@ -547,17 +545,24 @@ def complement_count(arr, q):
     every hyperplane.
 
     A plane is an int with "doubled rows": point (y, x) is bit y*2q + x,
-    and bits y*2q + q .. y*2q + 2q - 1 are spare.  At a prefix where a
-    covector takes the value s, it cuts the plane along the line
-    x = alpha + beta*y when its x coefficient is nonzero, along the row
-    y = gamma when only its y coefficient is, and otherwise nowhere
-    (s != 0) or everywhere (s == 0, a dead prefix).  The base of slope
-    beta holds bits y*2q + (beta*y mod q) and the same bit + q, so
-    base >> (q - alpha) has bit y*2q + (alpha + beta*y mod q) in the low q
-    bits of each row, and `low` keeps those bits; the line cuts are built
-    once per distinct beta.  Each covector's cuts form a table indexed by
-    s, built once per distinct (y, x) coefficient pair, and a plane's
-    count is q^2 minus the bits of the union of its cuts.
+    and bits y*2q + q .. y*2q + 2q - 1 are spare; `low` holds the q low
+    bits of each row, the plane's points.  At a prefix where a covector
+    takes the value s, it cuts the plane along the line x = alpha + beta*y
+    when its x coefficient is nonzero, along the row y = gamma when only
+    its y coefficient is, and otherwise nowhere (s != 0) or everywhere
+    (s == 0, a dead prefix).  Each distinct (y, x) coefficient pair gets
+    one int `base` and q shifts, indexed by s, and its cut at s is the low
+    bits of base >> shifts[s]:
+    - a line: the base of slope beta, built once per distinct beta, holds
+      bits y*2q + (beta*y mod q) and the same bit + q, so shifting it by
+      q - alpha puts bit y*2q + (alpha + beta*y mod q) in the low bits of
+      each row;
+    - a row: full_row << 2q*q, one row past the plane, shifted by
+      2q*(q - gamma);
+    - the dead case: `low`, shifted by 0 at s = 0 and by 2q*q, out of the
+      plane, elsewhere.
+    A plane's count is q^2 minus the low bits of the union of its shifted
+    bases.
 
     A q that is not prime raises BadPrime: Z/q is then not a field.
     """
@@ -575,7 +580,7 @@ def complement_count(arr, q):
     full_row = (1 << q) - 1
     # bit y*2q for every row y is (2^(2q*q) - 1) / (2^(2q) - 1)
     low = ((1 << width * q) - 1) // ((1 << width) - 1) * full_row
-    lines = {}  # beta -> the line cuts, by alpha
+    lines = {}  # beta -> the base of slope beta
     tables = {}
     for cy, cx in {c[d - 2:] for c in covs}:
         if cx:
@@ -585,33 +590,34 @@ def complement_count(arr, q):
                 base = 0
                 for y in range(q):
                     base |= (1 | 1 << q) << (y * width + beta * y % q)
-                lines[beta] = [base >> (q - a) & low for a in range(q)]
+                lines[beta] = base
             # alpha = s * neg = -s/cx
-            table = [lines[beta][s * neg % q] for s in range(q)]
+            table = lines[beta], [q - s * neg % q for s in range(q)]
         elif cy:
             neg = -pow(cy, -1, q) % q
-            table = [full_row << width * (s * neg % q) for s in range(q)]
+            table = full_row << width * q, [width * (q - s * neg % q)
+                                            for s in range(q)]
         else:
-            table = [low] + [0] * (q - 1)
+            table = low, [0] + [width * q] * (q - 1)
         tables[cy, cx] = table
     total = 0
     for lead in range(d - 2):
         # per covector: its value at the lead, its nonzero coefficients
-        # (i, c[lead+1+i]) on rest, and its table
+        # (i, c[lead+1+i]) on rest, its base and its shifts
         pre = [(c[lead], [(i, c[lead + 1 + i]) for i in range(d - 3 - lead)
-                          if c[lead + 1 + i]], tables[c[d - 2:]])
+                          if c[lead + 1 + i]], *tables[c[d - 2:]])
                for c in covs]
         for rest in itertools.product(range(q), repeat=d - 3 - lead):
             cut = 0
-            for s, head, table in pre:
+            for s, head, base, shifts in pre:
                 for i, ci in head:
                     s += ci * rest[i]
-                cut |= table[s % q]
-            total += q * q - cut.bit_count()
+                cut |= base >> shifts[s % q]
+            total += q * q - (cut & low).bit_count()
     cut = 0
-    for table in tables.values():
-        cut |= table[0]
-    return (q - 1) * total + q * q - cut.bit_count()
+    for base, shifts in tables.values():
+        cut |= base >> shifts[0]
+    return (q - 1) * total + q * q - (cut & low).bit_count()
 
 
 def char_poly_finite_field(arr, primes, lattice=None):

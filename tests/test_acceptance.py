@@ -129,8 +129,9 @@ def test_criterion_6_property_suite(capsys, corpus):
         lat = build_lattice(arr)
         p = poincare_polynomial(lat)
         # Mobius zero-sums on every flat above bottom
-        for f in lat.flats:
-            below = sum(g.mobius for g in lat.flats
+        flats = lat.flats
+        for f in flats:
+            below = sum(g.mobius for g in flats
                         if g.hyperplanes <= f.hyperplanes)
             assert below == (1 if f.rank == 0 else 0)
         # essentiality: deg pi = rank = dim for generator outputs

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import cmarr.cli
+import cmarr.freeness
 import cmarr.lattice
 import cmarr.osalg
 from cmarr.cli import build_parser
@@ -138,3 +139,35 @@ def test_analyze_calls_osalg_and_generators_through_cli(monkeypatch):
     assert sorted(calls) == ["gen_coxeter_namikawa", "nbc_basis"]
     assert report["os"]["total"] == 336
     assert report["stability"]["contains_coxeter"]
+
+
+def test_trace_hooks_read_real_results():
+    """Each `_HOOKS` entry of bench/trace_job.py reads the arguments and
+    result of the cmarr call it follows; run on real ones, it sets its
+    counters, so a hook that reads a removed attribute fails here and not
+    in every traced job."""
+    trace_job = _load(TRACE_JOB)
+    arr = gen_G8()
+    lat = cmarr.lattice.build_lattice(arr)
+    circuits = cmarr.osalg.circuits(arr, lattice=lat)
+    basis = cmarr.osalg.nbc_basis(arr, lattice=lat)
+    verdict = cmarr.freeness.inductive_freeness(arr, lattice=lat)
+    cases = {
+        "lattice.build_lattice": ((arr,), lat, {
+            "lattice.flats": sum(len(level) for level in lat.masks),
+            "lattice.root_builds": 1}),
+        "osalg.circuits": ((arr,), circuits,
+                           {"osalg.circuits": len(circuits)}),
+        "osalg.nbc_basis": ((arr,), basis, {"osalg.nbc_sets": 336}),
+        "lattice.complement_count": (
+            (arr, 5), cmarr.lattice.complement_count(arr, 5),
+            {"lattice.points": 25}),
+        "freeness.inductive_freeness": ((arr,), verdict, {
+            "freeness.nodes": verdict.nodes_used, "freeness.free": 1}),
+    }
+    assert set(cases) == set(trace_job._HOOKS)
+    for name, (args, result, counters) in cases.items():
+        tr = trace_job.Tracer()
+        tr.root_n = len(arr.hyperplanes)
+        trace_job._HOOKS[name](tr, args, result)
+        assert tr.counters == counters, name

@@ -217,9 +217,10 @@ def test_restriction_dihedral():
 
 
 def test_localization_bottom_and_center():
-    lat = build_lattice(CONCURRENT3)
-    assert len(localization(CONCURRENT3, lat.bottom)) == 0
-    center = [f for f in lat.flats if f.rank == 2][0]
+    flats = build_lattice(CONCURRENT3).flats
+    assert flats[0].mask == 0
+    assert len(localization(CONCURRENT3, flats[0])) == 0
+    center = [f for f in flats if f.rank == 2][0]
     assert localization(CONCURRENT3, center).hyperplanes == \
         CONCURRENT3.hyperplanes
 
@@ -234,8 +235,10 @@ def test_localization_g8_line():
              and f.rank == 2]
     assert len(flats) == 1
     loc = localization(g8, flats[0])
+    line = common_kernel([g8.hyperplanes[i] for i in flats[0].hyperplanes],
+                         dim=g8.dim)
     for c in loc.hyperplanes:
-        for row in flats[0].subspace.basis:
+        for row in line.basis:
             assert sum(a * b for a, b in zip(c, row)) == 0
 
 
@@ -245,7 +248,8 @@ def test_localization_poincare_is_lower_interval(arr):
     lat = build_lattice(arr)
     for f in lat.flats:
         rebuilt = build_lattice(essentialize(localization(arr, f)))
-        assert localization_poincare(lat, f) == poincare_polynomial(rebuilt)
+        assert localization_poincare(lat, f.mask, f.rank) \
+            == poincare_polynomial(rebuilt)
 
 
 def test_localization_foreign_flat_rejected():
@@ -440,8 +444,8 @@ def arrangement_and_deleted(draw):
 
 
 def _rank2_masks(arr):
-    by_rank = build_lattice(arr).by_rank
-    return [f.mask for f in by_rank[2]] if len(by_rank) > 2 else []
+    masks = build_lattice(arr).masks
+    return list(masks[2]) if len(masks) > 2 else []
 
 
 @settings(deadline=None, max_examples=150)

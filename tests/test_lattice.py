@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -228,6 +229,22 @@ def test_complement_count_is_mobius_chi(arr):
     chi = characteristic_polynomial(build_lattice(arr))
     for q in admissible_primes(arr, arr.dim + 2):
         assert complement_count(arr, q) == chi(q)
+
+
+def test_complement_count_holds_one_base_per_cut():
+    """Each (y, x) coefficient pair keeps one plane-sized base and q
+    shifts, not q planes, so G8 at q = 401 (a plane of 2*401^2 bits)
+    stays small: the per-slope tables of q shifted planes peaked above
+    200 MB."""
+    arr = gen_G8()
+    tracemalloc.start()
+    try:
+        count = complement_count(arr, 401)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 400 * 390 * 388 == 60528000  # chi_G8(401)
+    assert peak < 30 * 10 ** 6
 
 
 def test_ff_g8_paper_primes():
@@ -507,12 +524,12 @@ def test_essentialize_preserves_combinatorics():
 
 def test_mobius_zero_sums_and_signs(corpus):
     for arr in corpus:
-        lat = build_lattice(arr)
-        for f in lat.flats:
+        flats = build_lattice(arr).flats
+        for f in flats:
             if f.rank == 0:
                 assert f.mobius == 1
                 continue
-            below = sum(g.mobius for g in lat.flats
+            below = sum(g.mobius for g in flats
                         if g.hyperplanes <= f.hyperplanes)
             assert below == 0
             assert f.mobius * (-1) ** f.rank > 0
@@ -564,22 +581,25 @@ def small_arrangements(draw):
 @given(small_arrangements())
 def test_build_lattice_matches_brute_force(arr):
     lat = build_lattice(arr)
-    got = [(f.hyperplanes, f.rank, f.mobius) for f in lat.flats]
+    flats = lat.flats
+    got = [(f.hyperplanes, f.rank, f.mobius) for f in flats]
     assert len(got) == len(set(got))
     assert set(got) == _brute_force_flats(arr)
-    for r, level in enumerate(lat.by_rank):
-        keys = [tuple(sorted(f.hyperplanes)) for f in level]
+    assert [(f.mask, f.rank) for f in flats] == [
+        (x, r) for r, level in enumerate(lat.masks) for x in level]
+    for level in lat.masks:
+        keys = [_bits(x) for x in level]
         assert keys == sorted(keys)
-        assert all(f.rank == r for f in level)
 
 
-def test_lazy_subspace_is_common_kernel():
+def test_flat_rank_is_codim_of_common_kernel():
+    """The rank the build gives a flat is the codimension of the common
+    kernel of its covectors, by the rational RREF route."""
     arr = gen_G8()
     for f in build_lattice(arr).flats:
         sub = common_kernel([arr.hyperplanes[i] for i in f.hyperplanes],
                             dim=arr.dim)
-        assert f.subspace == sub
-        assert f.subspace.dim == arr.dim - f.rank
+        assert sub.dim == arr.dim - f.rank
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +608,10 @@ def test_lazy_subspace_is_common_kernel():
 
 def _assert_mobius_matches_reference(arr):
     lat = build_lattice(arr)
-    levels = [[f.mask for f in level] for level in lat.by_rank]
-    assert [[f.mobius for f in level] for level in lat.by_rank] \
-        == mobius_by_rank(levels)
+    assert [list(mus) for mus in lat.mobius] \
+        == mobius_by_rank([list(level) for level in lat.masks])
+    for level in lat.masks:
+        assert level == tuple(sorted(level, key=_bits))
 
 
 def test_weisner_mobius_matches_reference(corpus):
@@ -609,8 +630,30 @@ def integer_arrangements(draw):
     return Arrangement(d, draw(st.lists(vec, max_size=9)))
 
 
+@st.composite
+def symmetric_arrangements(draw):
+    """Integer covectors closed under the block generators of a random
+    Weyl layout of dimension 1 to 4, in a random hyperplane order."""
+    blocks = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)
+                  .filter(lambda b: 1 <= sum(m - 1 for m in b) <= 4))
+    d = sum(m - 1 for m in blocks)
+    gens = block_generators(blocks)
+    entry = st.one_of(st.just(0), st.integers(-2, 2))
+    seeds = draw(st.lists(st.lists(entry, min_size=d, max_size=d)
+                          .filter(any), min_size=1, max_size=2))
+    covs = {normalize_covector(c) for c in seeds}
+    frontier = list(covs)
+    while frontier:
+        new = [g.apply_covector(c) for c in frontier for g in gens]
+        frontier = [c for c in set(new) if c not in covs]
+        covs.update(frontier)
+    assume(len(covs) <= 30)
+    order = draw(st.permutations(sorted(covs)))
+    return Arrangement(d, order, weyl=blocks)
+
+
 @settings(deadline=None, max_examples=100)
-@given(integer_arrangements())
+@given(st.one_of(integer_arrangements(), symmetric_arrangements()))
 def test_weisner_mobius_matches_reference_random(arr):
     _assert_mobius_matches_reference(arr)
 
@@ -620,7 +663,7 @@ def test_weisner_mobius_matches_reference_random(arr):
 
 
 def _levels(lat):
-    return [[(f.mask, f.mobius) for f in level] for level in lat.by_rank]
+    return lat.masks, lat.mobius
 
 
 def _assert_matches_plain(arr):
@@ -655,28 +698,6 @@ def test_orbit_build_falls_back_without_a_stable_fitting_layout():
     _assert_matches_plain(_g8_layout((3,)))  # dimension 2, not 3
 
 
-@st.composite
-def symmetric_arrangements(draw):
-    """Integer covectors closed under the block generators of a random
-    Weyl layout of dimension 1 to 4, in a random hyperplane order."""
-    blocks = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)
-                  .filter(lambda b: 1 <= sum(m - 1 for m in b) <= 4))
-    d = sum(m - 1 for m in blocks)
-    gens = block_generators(blocks)
-    entry = st.one_of(st.just(0), st.integers(-2, 2))
-    seeds = draw(st.lists(st.lists(entry, min_size=d, max_size=d)
-                          .filter(any), min_size=1, max_size=2))
-    covs = {normalize_covector(c) for c in seeds}
-    frontier = list(covs)
-    while frontier:
-        new = [g.apply_covector(c) for c in frontier for g in gens]
-        frontier = [c for c in set(new) if c not in covs]
-        covs.update(frontier)
-    assume(len(covs) <= 30)
-    order = draw(st.permutations(sorted(covs)))
-    return Arrangement(d, order, weyl=blocks)
-
-
 @settings(deadline=None, max_examples=60)
 @given(symmetric_arrangements())
 def test_orbit_build_matches_plain_random(arr):
@@ -689,6 +710,22 @@ def test_orbit_build_matches_plain_random(arr):
 def test_bad_primes_on_orbits_match_basis_scan(arr):
     """bad_primes scans one flat per W-orbit; the basis scan sees no W."""
     assert bad_primes(arr) == _bad_primes_by_bases(arr)
+
+
+def test_lattice_holds_masks_and_mobius_per_rank():
+    """The lattice keeps each flat as a mask and a Mobius number in
+    per-rank tuples, with no object per flat: under 80 bytes a flat on
+    wreath-A4-3 (one Flat object per flat held about 130)."""
+    arr = gen_wreath("A4", 5, 3)
+    build_lattice(_g8_layout((4,)))  # first orbit build: imports symmetry
+    tracemalloc.start()
+    try:
+        lat = build_lattice(arr)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    flats = sum(len(level) for level in lat.masks)
+    assert held < 80 * flats
 
 
 def _flat_children_calls(monkeypatch, arr):
@@ -712,7 +749,7 @@ def test_orbit_build_reduces_one_flat_per_orbit(monkeypatch, make, orbits):
     calls, lat = _flat_children_calls(monkeypatch, make())
     assert len(calls) == orbits < len(lat.flats)
     # the representatives are the flats reduced, rank by rank
-    assert len(lat.representatives) == len(lat.by_rank)
+    assert len(lat.representatives) == len(lat.masks)
     assert [x for level in lat.representatives for x in level] == calls
 
 
@@ -722,7 +759,7 @@ def test_plain_build_reduces_every_flat(monkeypatch, make):
     calls, lat = _flat_children_calls(monkeypatch, make())
     assert len(calls) == len(lat.flats)
     assert [sorted(level) for level in lat.representatives] == [
-        sorted(f.mask for f in level) for level in lat.by_rank]
+        sorted(level) for level in lat.masks]
 
 
 def _reductions(arr):
