@@ -13,13 +13,12 @@ _EXPORTS = {
     "errors": (),
     "exactlin": ("Subspace", "common_kernel", "normalize_covector", "rank_of",
                  "restrict_covectors_to"),
-    "freeness": ("ExponentReport", "FreenessVerdict", "deletion",
-                 "exponents_from_poincare", "inductive_freeness",
+    "freeness": ("FreenessVerdict", "deletion", "inductive_freeness",
                  "localization", "nonfree_by_localization", "restriction"),
     "generators": ("RootSystem", "TableRow", "gen_G4", "gen_G8",
                    "gen_coxeter_namikawa", "gen_cyclic", "gen_dihedral_even",
                    "gen_wreath", "root_system", "table1_rows"),
-    "intpoly": ("IntPolynomial",),
+    "intpoly": ("ExponentReport", "IntPolynomial", "exponents_from_poincare"),
     "lattice": ("Arrangement", "Flat", "IntersectionLattice", "build_lattice",
                 "char_poly_finite_field", "characteristic_polynomial",
                 "essentialize", "poincare_polynomial", "whitney_numbers"),

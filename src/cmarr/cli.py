@@ -11,10 +11,11 @@ from .errors import (BadPrime, CmarrError, DimensionMismatch, EmptyBody,
                      InvalidOrder, InvalidParams, LayoutMismatch, NonIntegral,
                      NotStable, ParseError, UnknownGenerator, UnsupportedType,
                      ZeroCovector)
-from .freeness import (DEFAULT_BUDGET, exponents_from_poincare,
-                       inductive_freeness)
+from .freeness import DEFAULT_BUDGET, inductive_freeness
+from .intpoly import exponents_from_poincare
 # _interpolate_counts, complement_count and _counts_parallel go unused, but
-# bench/trace_job.WRAPS and test_bench_contract name them (ROADMAP dir. 3)
+# bench/trace_job.WRAPS and test_bench_contract name them (ROADMAP
+# direction 1, step 3)
 from .lattice import (_interpolate_counts, admissible_primes, build_lattice,
                       characteristic_polynomial, complement_count,
                       char_poly_finite_field, poincare_polynomial)

@@ -7,96 +7,19 @@ or for one of its localizations; InductivelyFree certificates are removal
 chains for the addition-deletion triple.
 """
 
-from collections import Counter, namedtuple
+from collections import Counter
 
 from .errors import (DimensionMismatch, ExponentMismatch, FlatNotInLattice,
-                     IndexOutOfRange, InexactDivision, InvalidParams,
-                     MalformedPolynomial)
+                     IndexOutOfRange, InvalidParams)
 # common_kernel and restrict_covectors_to are unused here but stay bound in
 # this module: bench/trace_job.py wraps them by name.
 from .exactlin import (common_kernel, echelon, reduce_covector,  # noqa: F401
                        restrict_covectors_to)
-from .intpoly import IntPolynomial
+from .intpoly import IntPolynomial, exponents_from_poincare
 from .lattice import (Arrangement, _bits, build_lattice, essentialize,
                       localization_poincare, poincare_polynomial)
 
 DEFAULT_BUDGET = 10 ** 6
-
-
-class ExponentReport(namedtuple("ExponentReport",
-                                "factors_integrally exponents residual",
-                                defaults=((), None))):
-    """Whether p factors into (1 + b t) pieces, the b found, and the
-    IntPolynomial left unfactored (None when it factors)."""
-
-    __slots__ = ()
-
-
-def exponents_from_poincare(p):
-    """Factor p into (1 + b t) pieces with nonnegative integer b.
-
-    Greedy root-stripping: the admissible b are divisors of the current
-    leading coefficient with p(-1/b) = 0; since the roots of a full
-    factorization are determined, stripping any valid b at a time finds the
-    factorization whenever one exists.  On failure the unfactorable residual
-    is reported.  A full strip ends at [1]: the constant term is 1, and
-    _divide_linear keeps it.
-    """
-    if not p.coeffs or p.coeffs[0] != 1:
-        raise MalformedPolynomial("constant term must be 1, got %r"
-                                  % (p.coeffs[:1] or 0,))
-    exps = []
-    current = list(p.coeffs)
-    while len(current) > 1:
-        lead = abs(current[-1])
-        b_found = None
-        for b in sorted(_divisors(lead)):
-            if _vanishes_at_minus_inverse(current, b):
-                b_found = b
-                break
-        if b_found is None:
-            return ExponentReport(False, tuple(sorted(exps)),
-                                  IntPolynomial(current))
-        current = _divide_linear(current, b_found)
-        exps.append(b_found)
-    return ExponentReport(True, tuple(sorted(exps)))
-
-
-def _divisors(x):
-    out = set()
-    d = 1
-    while d * d <= x:
-        if x % d == 0:
-            out.add(d)
-            out.add(x // d)
-        d += 1
-    return out
-
-
-def _vanishes_at_minus_inverse(coeffs, b):
-    """Whether p(-1/b) = 0 for p with ascending coefficients and b != 0.
-
-    (-b)^d p(-1/b) = sum of c_k (-b)^(d-k), an integer that Horner's rule
-    computes from the constant term up, with no fractions.
-    """
-    acc = 0
-    for c in coeffs:
-        acc = acc * -b + c
-    return acc == 0
-
-
-def _divide_linear(coeffs, b):
-    """Exact quotient of the polynomial by (1 + b t), else InexactDivision."""
-    # coeffs[k+1] = q[k+1] + b*q[k], solved from the top down
-    q = [0] * (len(coeffs) - 1)
-    q[-1] = coeffs[-1] // b
-    for k in range(len(q) - 2, -1, -1):
-        q[k] = (coeffs[k + 1] - q[k + 1]) // b
-    # floor division hides a remainder, so multiply back
-    if [q[0]] + [q[k] + b * q[k - 1] for k in range(1, len(q))] \
-            + [b * q[-1]] != list(coeffs):
-        raise InexactDivision("1 + %dt does not divide %r" % (b, coeffs))
-    return q
 
 
 def deletion(arr, h):

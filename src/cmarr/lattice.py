@@ -648,10 +648,7 @@ def char_poly_finite_field(arr, primes, lattice=None):
 def _interpolate_counts(arr, primes, counts):
     """The polynomial through the first dim+1 pairs, checked on the rest."""
     pairs = list(zip(primes, counts))
-    coeffs = lagrange_interpolate(pairs[:arr.dim + 1])
-    if any(c.denominator != 1 for c in coeffs):
-        raise InconsistentCounts("interpolant has non-integer coefficients")
-    poly = IntPolynomial([int(c) for c in coeffs])
+    poly = lagrange_interpolate(pairs[:arr.dim + 1])
     for q, cnt in pairs[arr.dim + 1:]:
         if poly(q) != cnt:
             raise InconsistentCounts(

@@ -11,8 +11,8 @@ from math import factorial
 
 from .errors import LayoutMismatch, NonIntegral, NotStable
 from .exactlin import project_zero_sum
+from .intpoly import exponents_from_poincare
 from .lattice import Arrangement, _bits, _mask_tables, _orbit
-from .freeness import exponents_from_poincare
 
 
 class BlockPermutation:
@@ -158,11 +158,18 @@ def hyperplane_orbits(arr, spec):
 
     The orbit of hyperplane i is read off the orbit of the mask 1 << i under
     the generators' mask maps, the closure the lattice build runs on flats;
-    its masks are single bits, so their sum is their union.
+    its masks are single bits, so their sum is their union.  Each orbit is
+    closed once, from its least index, so the orbits come out sorted.
     """
     tables = _mask_tables(generator_permutations(arr, spec))
-    return tuple(sorted({tuple(_bits(sum(_orbit(1 << i, tables))))
-                         for i in range(len(arr.hyperplanes))}))
+    orbits = []
+    placed = 0
+    for i in range(len(arr.hyperplanes)):
+        if not placed >> i & 1:
+            orbit = sum(_orbit(1 << i, tables))
+            placed |= orbit
+            orbits.append(tuple(_bits(orbit)))
+    return tuple(orbits)
 
 
 def contains_subarrangement(arr, sub):

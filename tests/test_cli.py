@@ -455,7 +455,8 @@ UNLOADED_BY_CLI_IMPORT = ("concurrent.futures", "dataclasses", "inspect",
 
 # Modules only some `cmarr analyze` stages need: osalg for --os, generators
 # for --stability, and fractions, with the decimal and numbers it imports,
-# for --ff-primes's interpolation or a rational entry in the input file.
+# for a rational entry in the input file (--ff-primes interpolates in the
+# integers).
 STAGE_MODULES = ("cmarr.osalg", "cmarr.generators", "fractions", "decimal",
                  "numbers")
 
@@ -501,7 +502,13 @@ def test_poincare_free_job_leaves_other_stages_unloaded(tmp_path):
 
 def test_os_stability_ff_job_loads_its_stages(tmp_path):
     job = _g8_job(tmp_path, ["--os", "--stability", "--ff-primes", "5"])
-    assert _loaded_after(job, STAGE_MODULES) == list(STAGE_MODULES)
+    assert _loaded_after(job, STAGE_MODULES) == ["cmarr.osalg",
+                                                 "cmarr.generators"]
+
+
+def test_symmetry_import_leaves_freeness_unloaded():
+    assert _loaded_after("", ("cmarr.freeness",),
+                         imported="cmarr.symmetry") == []
 
 
 def test_threads_job_leaves_thread_pool_unloaded(tmp_path):

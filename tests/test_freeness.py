@@ -11,13 +11,13 @@ from cmarr.errors import (DimensionMismatch, ExponentMismatch,
                           FlatNotInLattice, IndexOutOfRange, InexactDivision,
                           MalformedPolynomial)
 from cmarr.exactlin import common_kernel, rank_of, restrict_covectors_to
-from cmarr.freeness import (ExponentReport, FreenessVerdict, _deletion_lines,
-                            _divide_linear, deletion, exponents_from_poincare,
+from cmarr.freeness import (FreenessVerdict, _deletion_lines, deletion,
                             inductive_freeness, localization,
                             nonfree_by_localization, restriction)
 from cmarr.generators import (gen_G8, gen_coxeter_namikawa,
                               gen_dihedral_even, gen_wreath)
-from cmarr.intpoly import IntPolynomial
+from cmarr.intpoly import (ExponentReport, IntPolynomial, _divide_linear,
+                           _vanishes_at_minus_inverse, exponents_from_poincare)
 from cmarr.lattice import (Arrangement, Flat, build_lattice, essentialize,
                            localization_poincare, poincare_polynomial)
 
@@ -84,7 +84,7 @@ def test_integer_root_test_matches_fraction_evaluation(case):
     for b in candidates:
         x = Fraction(-1, b)
         value = sum(c * x ** k for k, c in enumerate(coeffs))
-        assert free_mod._vanishes_at_minus_inverse(coeffs, b) \
+        assert _vanishes_at_minus_inverse(coeffs, b) \
             == (value == 0), (coeffs, b)
 
 

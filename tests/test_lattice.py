@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -13,7 +14,7 @@ from cmarr.exactlin import (common_kernel, in_row_span, normalize_covector,
 from cmarr.freeness import inductive_freeness
 from cmarr.generators import (gen_G4, gen_G8, gen_coxeter_namikawa,
                               gen_cyclic, gen_dihedral_even, gen_wreath)
-from cmarr.intpoly import IntPolynomial
+from cmarr.intpoly import IntPolynomial, lagrange_interpolate
 from cmarr.lattice import (Arrangement, _bits, _prime_factors,
                            admissible_primes, bad_primes,
                            build_lattice, char_poly_finite_field,
@@ -301,6 +302,55 @@ def test_ff_detects_inconsistent_counts(monkeypatch):
     monkeypatch.setattr(lat_mod, "complement_count", corrupted)
     with pytest.raises(InconsistentCounts):
         lat_mod.char_poly_finite_field(CONCURRENT3, [5, 7, 11, 13])
+
+
+def _fraction_lagrange(points):
+    """Reference: the interpolant's ascending Fraction coefficients, one per
+    point, from the Lagrange basis polynomials."""
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis = [Fraction(yi)]
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                # basis * (t - xj) / (xi - xj)
+                basis = [(a - xj * b) / (xi - xj)
+                         for a, b in zip([0] + basis, basis + [0])]
+        coeffs = [c + b for c, b in zip(coeffs, basis)]
+    return coeffs
+
+
+integer_nodes = st.lists(st.integers(-40, 60), min_size=1, max_size=7,
+                         unique=True)
+
+
+@settings(deadline=None, max_examples=300)
+@given(integer_nodes, st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=7))
+def test_interpolation_recovers_integer_polynomials(xs, coeffs):
+    poly = IntPolynomial(coeffs[:len(xs)])
+    points = [(x, poly(x)) for x in xs]
+    assert lagrange_interpolate(points) == poly
+    assert _fraction_lagrange(points) \
+        == list(poly.coeffs) + [0] * (len(xs) - len(poly.coeffs))
+
+
+@st.composite
+def integer_points(draw):
+    xs = draw(integer_nodes)
+    ys = draw(st.lists(st.integers(-1000, 1000), min_size=len(xs),
+                       max_size=len(xs)))
+    return list(zip(xs, ys))
+
+
+@settings(deadline=None, max_examples=300)
+@given(integer_points())
+def test_interpolation_rejects_exactly_the_non_integer_interpolants(points):
+    ref = _fraction_lagrange(points)
+    if all(c.denominator == 1 for c in ref):
+        got = lagrange_interpolate(points)
+        assert list(got.coeffs) + [0] * (len(ref) - len(got.coeffs)) == ref
+    else:
+        with pytest.raises(InconsistentCounts):
+            lagrange_interpolate(points)
 
 
 def test_admissible_primes_avoid_bad_set():
