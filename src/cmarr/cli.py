@@ -105,8 +105,7 @@ def run_analyze(arr, args):
             lat = build_lattice(arr)
         return lat
 
-    need_poincare = (args.poincare or args.e_count or args.ff_primes)
-    if need_poincare:
+    if args.poincare or args.e_count:
         p = poincare_polynomial(lattice())
     if args.poincare:
         rep = exponents_from_poincare(p)

@@ -243,11 +243,9 @@ def gen_G4():
     unique S3-stable model with the root lines tagged T; together the six
     lines have Poincare polynomial 1 + 6t + 5t^2.
     """
-    t_covs = [_block_difference(3, i, j)
-              for j in range(3) for i in range(j + 1, 3)]
-    f_covs = [project_zero_sum([int(i == t) for t in range(3)], (3,))
-              for i in range(3)]
-    covs = [normalize_covector(c) for c in t_covs] + f_covs
+    covs = list(gen_coxeter_namikawa((3,)).hyperplanes)
+    covs += [project_zero_sum([int(i == t) for t in range(3)], (3,))
+             for i in range(3)]
     tags = ["T"] * 3 + ["F"] * 3
     return Arrangement(2, covs, label="G4", tags=tags, weyl=(3,))
 

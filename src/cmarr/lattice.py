@@ -24,10 +24,13 @@ class Arrangement:
 
     Optional metadata: a label, per-hyperplane 'T'/'F' tags, and a Weyl block
     layout (tuple of symmetric-group sizes m, each acting on a zero-sum block
-    contributing m-1 essential coordinates).
+    contributing m-1 essential coordinates).  `_perms`, unset until the first
+    `symmetry.generator_permutations` call that finds arr stable, keeps that
+    layout and its generators' hyperplane permutations.
     """
 
-    __slots__ = ("dim", "hyperplanes", "label", "tags", "weyl", "_rank")
+    __slots__ = ("dim", "hyperplanes", "label", "tags", "weyl", "_rank",
+                 "_perms")
 
     def __init__(self, dim, covectors, label=None, tags=None, weyl=None):
         self.dim = int(dim)

@@ -14,10 +14,12 @@ from cmarr import errors
 from cmarr.arrfile import (_parse_entry, emit_arrangement, parse_arrangement,
                            parse_arrangement_with_warnings, parse_weyl_token)
 from cmarr.cli import main
-from cmarr.errors import EmptyBody, InvalidParams, ParseError
+from cmarr.errors import (EmptyBody, InvalidParams, LayoutMismatch,
+                          NotStable, ParseError)
 from cmarr.exactlin import project_zero_sum
-from cmarr.generators import gen_G8
+from cmarr.generators import gen_G8, gen_wreath
 from cmarr.lattice import Arrangement
+from cmarr.symmetry import generator_permutations, hyperplane_orbits, is_stable
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -346,6 +348,64 @@ def test_analyze_poincare_free_builds_root_lattice_once(capsys, tmp_path,
     assert code == 0
     assert "freeness: InductivelyFree" in out
     assert len(root_builds) == 1
+
+
+def test_poincare_big_job_permutes_hyperplanes_once(capsys, tmp_path,
+                                                    monkeypatch):
+    import cmarr.symmetry as sym_mod
+    real_generators = sym_mod.block_generators
+    real_parse = cli_mod.parse_arrangement_with_warnings
+    calls = []
+    parsed = []
+
+    def counting(blocks):
+        calls.append(blocks)
+        return real_generators(blocks)
+
+    def keeping(text):
+        arr, warnings = real_parse(text)
+        parsed.append(arr)
+        return arr, warnings
+
+    monkeypatch.setattr(sym_mod, "block_generators", counting)
+    monkeypatch.setattr(cli_mod, "parse_arrangement_with_warnings", keeping)
+    path = tmp_path / "wreath.arr"
+    path.write_text(emit_arrangement(gen_wreath("A3", 4, 2)))
+    code, out, _ = run(capsys, ["analyze", str(path), "--poincare",
+                                "--e-count", "--stability", "--orbits"])
+    assert code == 0 and "stability: stable" in out
+    # the lattice build, --stability and --orbits share one computation
+    assert calls == [(2, 4)]
+    arr, = parsed
+    with pytest.raises(LayoutMismatch):
+        generator_permutations(arr, (2, 2))
+    # another layout of the same dimension is computed afresh
+    with pytest.raises(NotStable):
+        generator_permutations(arr, (5,))
+    assert calls == [(2, 4), (5,)]
+
+
+def test_unstable_layout_stability_and_orbits(capsys, tmp_path):
+    g8 = gen_G8()
+    path = tmp_path / "g8-del.arr"
+    path.write_text(emit_arrangement(
+        Arrangement(g8.dim, g8.hyperplanes[1:], weyl=g8.weyl)))
+    arr = parse_arrangement(path.read_text())
+    st = is_stable(arr, arr.weyl)
+    assert not st
+    code, out, _ = run(capsys, ["analyze", str(path), "--stability",
+                                "--json"])
+    assert code == 0
+    stability = json.loads(out)["stability"]
+    assert stability["stable"] is False
+    assert stability["witness"] == {
+        "generator": [list(p) for p in st.witness_generator.perms],
+        "covector": list(st.witness_covector)}
+    with pytest.raises(NotStable) as exc:
+        hyperplane_orbits(arr, arr.weyl)
+    code, out, err = run(capsys, ["analyze", str(path), "--orbits"])
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % exc.value
 
 
 def test_analyze_ff_threads_agree(capsys, tmp_path):

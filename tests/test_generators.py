@@ -1,3 +1,6 @@
+from collections import Counter
+from math import prod
+
 import pytest
 
 import cmarr.generators as gen_mod
@@ -10,6 +13,7 @@ from cmarr.generators import (RootSystem, TableRow, default_group_order,
 from cmarr.intpoly import IntPolynomial
 from cmarr.lattice import build_lattice, poincare_polynomial
 from cmarr.exactlin import rank_of
+from cmarr.symmetry import terminalization_count
 
 
 def poincare(arr):
@@ -128,6 +132,48 @@ def test_wreath_d_type():
     assert len(w) == 1 + 12 + 24
     assert w.dim == 5 and rank_of(w.hyperplanes) == 5
     assert w.tags.count("T") == 13
+
+
+def _exponents_and_coxeter_number(label):
+    """The exponents m_i, the dual partition of the number of positive roots
+    at each height, and the Coxeter number h, the largest height plus 1."""
+    rs = root_system(label)
+    by_height = Counter(sum(beta) for beta in rs.positive_roots)
+    exponents = [sum(1 for count in by_height.values() if count >= i)
+                 for i in range(1, rs.rank + 1)]
+    return exponents, max(by_height) + 1
+
+
+def _fuss_catalan(label, n):
+    """prod (d_i + (n - 1) h) / d_i over the degrees d_i = m_i + 1."""
+    exponents, h = _exponents_and_coxeter_number(label)
+    degrees = [m + 1 for m in exponents]
+    return prod(d + (n - 1) * h for d in degrees) // prod(degrees)
+
+
+def test_fuss_catalan_examples():
+    assert [_fuss_catalan(label, n)
+            for label, n in (("A2", 2), ("A3", 3), ("A4", 3))] \
+        == [5, 55, 273]
+
+
+@pytest.mark.parametrize("label, order, n", [
+    ("A1", 2, 2), ("A2", 3, 2), ("A3", 4, 2), ("A4", 5, 2),
+    ("A1", 2, 3), ("A2", 3, 3), ("A3", 4, 3), ("A4", 5, 3),
+    ("D4", 6, 2), ("D4", 8, 2)])
+def test_wreath_poincare_closed_form(label, order, n):
+    # the cone over the extended Catalan arrangement of height n - 1 is free
+    # with exponents 1 and m_i + (n - 1) h (conjectured by Edelman and
+    # Reiner, proved by Yoshinaga); the sign coordinate is the cone's
+    # extra hyperplane
+    exponents, h = _exponents_and_coxeter_number(label)
+    w = gen_wreath(label, order, n)
+    p = poincare(w)
+    assert p == IntPolynomial.from_factors(
+        [(1, 1)] + [(1, m + (n - 1) * h) for m in exponents])
+    if label[0] == "A":
+        # pi(1) / |W| is the Fuss-Catalan number
+        assert terminalization_count(p, w.weyl) == _fuss_catalan(label, n)
 
 
 def test_dihedral():

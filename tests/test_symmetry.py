@@ -160,6 +160,16 @@ def test_generator_permutations_follow_the_action():
             == [g.apply_covector(c) for c in covs]
 
 
+def test_generator_permutations_are_kept_per_arrangement():
+    from cmarr.freeness import deletion
+    arr = gen_wreath("A2", 3, 2)
+    perms = generator_permutations(arr, arr.weyl)
+    assert generator_permutations(arr, arr.weyl) is perms
+    # a deletion is a new arrangement, unstable here: nothing is inherited
+    with pytest.raises(NotStable):
+        generator_permutations(deletion(arr, 1), arr.weyl)
+
+
 def _orbits_by_search(arr, spec):
     """Orbit partition by a breadth-first search over the generators' index
     permutations: the reference for hyperplane_orbits."""

@@ -2,9 +2,12 @@
 
 Runs every job of the benchmark workloads (bench/workloads.py) from two
 `src` directories, at each seed given, with and without `--json`, and
-reports every difference in stdout, stderr or exit code.  The input files
-come from `workloads.emit_inputs`, run once per seed with the first tree's
-cmarr, so both trees read the same bytes.  Standard library only.
+reports every difference in stdout, stderr or exit code.  Each deletion
+input (a `-del` job) is also run with `--stability --orbits`: its file
+keeps the base's `weyl` header but is not stable under it, so the Weyl
+layer is compared on unstable inputs too.  The input files come from
+`workloads.emit_inputs`, run once per seed with the first tree's cmarr, so
+both trees read the same bytes.  Standard library only.
 
     python3 tools/compare_cli.py OLD_SRC NEW_SRC [--seeds 1 2]
 
@@ -23,6 +26,8 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 
 import workloads  # noqa: E402
+
+UNSTABLE = ["--stability", "--orbits"]
 
 
 def child_env(src):
@@ -70,17 +75,21 @@ def main(argv=None):
                     path = os.path.join(tmp, job_id + ".arr")
                     with open(path, "w") as fh:
                         fh.write(texts[job_id])
-                    for mode in ([], ["--json"]):
-                        runs += 1
-                        diff = differences(
-                            analyze(args.old_src, path, flags + mode),
-                            analyze(args.new_src, path, flags + mode))
-                        if diff:
-                            differing += 1
-                            print("== %s %s seed %d%s" % (
-                                workload, job_id, seed,
-                                " --json" if mode else ""))
-                            print("\n".join(diff))
+                    runs_of_job = [flags]
+                    if "-del" in job_id:
+                        runs_of_job.append(UNSTABLE)
+                    for run_flags in runs_of_job:
+                        for mode in ([], ["--json"]):
+                            runs += 1
+                            argv = run_flags + mode
+                            diff = differences(
+                                analyze(args.old_src, path, argv),
+                                analyze(args.new_src, path, argv))
+                            if diff:
+                                differing += 1
+                                print("== %s %s seed %d: %s" % (
+                                    workload, job_id, seed, " ".join(argv)))
+                                print("\n".join(diff))
     print("%d runs compared, %d differ" % (runs, differing))
     return 1 if differing else 0
 
