@@ -15,9 +15,9 @@ _EXPORTS = {
                  "restrict_covectors_to"),
     "freeness": ("FreenessVerdict", "deletion", "inductive_freeness",
                  "localization", "nonfree_by_localization", "restriction"),
-    "generators": ("RootSystem", "TableRow", "gen_G4", "gen_G8",
-                   "gen_coxeter_namikawa", "gen_cyclic", "gen_dihedral_even",
-                   "gen_wreath", "root_system", "table1_rows"),
+    "generators": ("RootSystem", "TableRow", "gen_G4", "gen_G8", "gen_cyclic",
+                   "gen_dihedral_even", "gen_wreath", "root_system",
+                   "table1_rows"),
     "intpoly": ("ExponentReport", "IntPolynomial", "exponents_from_poincare"),
     "lattice": ("Arrangement", "Flat", "IntersectionLattice", "build_lattice",
                 "char_poly_finite_field", "characteristic_polynomial",
@@ -25,8 +25,8 @@ _EXPORTS = {
     "osalg": ("CircuitSet", "NbcBasis", "circuits", "nbc_basis",
               "os_dimension"),
     "symmetry": ("BlockPermutation", "act", "audit_table1",
-                 "contains_subarrangement", "hyperplane_orbits", "is_stable",
-                 "terminalization_count"),
+                 "contains_subarrangement", "gen_coxeter_namikawa",
+                 "hyperplane_orbits", "is_stable", "terminalization_count"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names + (module,)}

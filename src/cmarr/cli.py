@@ -11,7 +11,6 @@ from .errors import (BadPrime, CmarrError, DimensionMismatch, EmptyBody,
                      InvalidOrder, InvalidParams, LayoutMismatch, NonIntegral,
                      NotStable, ParseError, UnknownGenerator, UnsupportedType,
                      ZeroCovector)
-from .freeness import DEFAULT_BUDGET, inductive_freeness
 from .intpoly import exponents_from_poincare
 # _interpolate_counts, complement_count and _counts_parallel go unused, but
 # bench/trace_job.WRAPS and test_bench_contract name them (ROADMAP
@@ -19,8 +18,8 @@ from .intpoly import exponents_from_poincare
 from .lattice import (_interpolate_counts, admissible_primes, build_lattice,
                       characteristic_polynomial, complement_count,
                       char_poly_finite_field, poincare_polynomial)
-from .symmetry import (contains_subarrangement, hyperplane_orbits, is_stable,
-                       terminalization_count)
+from .symmetry import (contains_subarrangement, gen_coxeter_namikawa,
+                       hyperplane_orbits, is_stable, terminalization_count)
 
 SCHEMA_VERSION = 1
 
@@ -34,7 +33,7 @@ class _StrictUnknown(Exception):
     pass
 
 
-# osalg and generators load on the first call of one of these: most jobs
+# osalg and freeness load on the first call of one of these: most jobs
 # call neither.  run_analyze calls through them, so a wrapper bound to these
 # names sees every call.
 def nbc_basis(arr, lattice):
@@ -42,9 +41,11 @@ def nbc_basis(arr, lattice):
     return osalg.nbc_basis(arr, lattice=lattice)
 
 
-def gen_coxeter_namikawa(spec):
-    from . import generators
-    return generators.gen_coxeter_namikawa(spec)
+def inductive_freeness(arr, budget, lattice):
+    from . import freeness
+    if budget is None:  # no --budget: the search's own default
+        budget = freeness.DEFAULT_BUDGET
+    return freeness.inductive_freeness(arr, budget=budget, lattice=lattice)
 
 
 def run_generate(name, args):
@@ -285,7 +286,7 @@ def build_parser():
     a.add_argument("--os", action="store_true")
     a.add_argument("--os-basis", dest="os_basis", action="store_true")
     a.add_argument("--free", action="store_true")
-    a.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    a.add_argument("--budget", type=int)
     a.add_argument("--stability", action="store_true")
     a.add_argument("--orbits", action="store_true")
     a.add_argument("--e-count", dest="e_count", action="store_true")
@@ -318,7 +319,7 @@ def main(argv=None):
             for flag, value, least in (("--threads", args.threads, 1),
                                        ("--budget", args.budget, 1),
                                        ("--ff-primes", args.ff_primes, 0)):
-                if value < least:
+                if value is not None and value < least:
                     raise InvalidParams("%s must be at least %d, got %d"
                                         % (flag, least, value))
             try:

@@ -14,6 +14,7 @@ from .errors import (GeneratorInvariant, InvalidN, InvalidOrder,
 from .exactlin import normalize_covector, project_zero_sum
 from .intpoly import IntPolynomial
 from .lattice import Arrangement
+from .symmetry import gen_coxeter_namikawa
 
 
 # ---------------------------------------------------------------------------
@@ -134,26 +135,6 @@ def _block_difference(m, i, j):
     amb[i] += 1
     amb[j] -= 1
     return tuple(amb[t] - amb[0] for t in range(1, m))
-
-
-def gen_coxeter_namikawa(spec):
-    """All hyperplanes kappa_{b,i} = kappa_{b,j} per block, essentialized."""
-    blocks = tuple(int(b) for b in spec)
-    if not blocks or any(b < 1 for b in blocks):
-        raise InvalidParams("weyl spec must be nonempty with sizes >= 1")
-    dim = sum(b - 1 for b in blocks)
-    covs = []
-    pos = 0
-    for m in blocks:
-        for j in range(m):
-            for i in range(j + 1, m):
-                amb = [0] * sum(blocks)
-                amb[pos + i] = 1
-                amb[pos + j] = -1
-                covs.append(project_zero_sum(amb, blocks))
-        pos += m
-    return Arrangement(dim, covs, label="coxeter-%s" % "x".join(
-        "S%d" % b for b in blocks), tags=["T"] * len(covs), weyl=blocks)
 
 
 def gen_cyclic(ell):

@@ -14,16 +14,28 @@ from .lattice import _bits, lattice_of
 class CircuitSet:
     """All minimal dependent subsets of the arrangement's covectors.
 
-    `masks` holds each circuit as the int bitmask of its hyperplane
-    indices; `circuits` is the same sets as sorted index tuples in
-    lexicographic order, built on first read.
+    The search emits its circuits in groups `(base, tops)`: the circuits
+    of a group are `base | t` for each bit t of `tops`, and every top bit
+    lies above every base bit, so t is the circuit's largest index.
+    `groups` keeps them that way.  `masks`, each circuit as the int
+    bitmask of its hyperplane indices in the order the search found them,
+    and `circuits`, the same sets as sorted index tuples in lexicographic
+    order, are built on first read.
     """
 
-    __slots__ = ("masks", "_circuits")
+    __slots__ = ("groups", "_masks", "_circuits")
 
-    def __init__(self, masks):
-        self.masks = tuple(masks)
+    def __init__(self, groups):
+        self.groups = tuple(groups)
+        self._masks = None
         self._circuits = None
+
+    @property
+    def masks(self):
+        if self._masks is None:
+            self._masks = tuple(base | 1 << t for base, tops in self.groups
+                                for t in _bits(tops))
+        return self._masks
 
     @property
     def circuits(self):
@@ -36,7 +48,7 @@ class CircuitSet:
         return iter(self.circuits)
 
     def __len__(self):
-        return len(self.masks)
+        return sum(tops.bit_count() for _, tops in self.groups)
 
 
 class NbcBasis:
@@ -61,7 +73,10 @@ def circuits(arr, lattice=None):
     """Minimal dependent subsets, found by a DFS over independent subsets.
 
     No circuit exceeds rank+1 elements in a central arrangement.  Joins
-    are read off `lattice`, L(arr), built when absent.
+    are read off `lattice`, L(arr), built when absent.  The circuits a
+    node finds share all but their largest element, so each emission is
+    one group `(base, tops)` of the returned `CircuitSet`, every bit of
+    `tops` above every bit of `base`.
     """
     n = len(arr.hyperplanes)
     joins = lattice_of(arr, lattice).joins
@@ -76,16 +91,16 @@ def circuits(arr, lattice=None):
     # later h outside x extends I, and the child's closures are join(x, h)
     # and join(cl(I - s), h) for each s, with cl(I) itself for s = h.  A
     # child closing to the top flat only emits circuits: that is inlined.
+    # Every h is later than all of I, so each group's tops lie above its
+    # base.
 
     def dfs(current, x, minus, start):
         later = -1 << start
         closed = x & later
         for m in minus:
             closed &= ~m
-        while closed:
-            low = closed & -closed
-            found.append(current | low)
-            closed ^= low
+        if closed:
+            found.append((current, closed))
         free = top & ~x & later
         if not free:
             return
@@ -99,10 +114,8 @@ def circuits(arr, lattice=None):
                 closed = top & ~x & -2 << h
                 for j in jm:
                     closed &= ~j[h]
-                while closed:
-                    bit = closed & -closed
-                    found.append(current | low | bit)
-                    closed ^= bit
+                if closed:
+                    found.append((current | low, closed))
             else:
                 dfs(current | low, jx[h], [j[h] for j in jm] + [x], h + 1)
 
@@ -123,10 +136,20 @@ def broken_circuits(circuit_set, order):
 def nbc_basis(arr, order=None, lattice=None):
     """Enumerate the nbc sets of the arrangement under a hyperplane order.
 
-    DFS over hyperplanes in order position, cutting a branch as soon as the
-    set contains a broken circuit.  That also cuts every dependent set: it
-    contains a circuit C, so the broken circuit C - min(C), found when the
-    order-largest element of C is added.  `lattice` is L(arr) or None.
+    DFS over hyperplanes in order position, never adding an element that
+    would complete a broken circuit.  That also cuts every dependent set:
+    it contains a circuit C, so the broken circuit C - min(C), completed
+    when the order-largest element of C is added.  `lattice` is L(arr) or
+    None.
+
+    Each broken circuit is filed, in order positions, under its rest (the
+    circuit minus its least and top elements): `tops_by_rest[rest]` is the
+    mask of the tops filed there.  A set S may not take next the top of
+    any broken circuit whose rest lies inside S; the DFS carries that mask
+    `forbid`.  Adding position p to S forbids, besides what S forbids, the
+    tops filed under each rest that contains p, i.e. under R + p for each
+    submask R of S: at most 2^|S| lookups.  The root forbids the tops of
+    the empty rest, those of the 2-element circuits.
     """
     lattice = lattice_of(arr, lattice)
     n = len(arr.hyperplanes)
@@ -136,55 +159,53 @@ def nbc_basis(arr, order=None, lattice=None):
     if sorted(order) != list(range(n)):
         raise InvalidParams("order must be a permutation of 0..%d" % (n - 1))
     rank = arr.rank
-    pos = [0] * n
-    for i, h in enumerate(order):
-        pos[h] = i
-    # broken circuits (a circuit minus its order-least element) indexed by
-    # their order-largest element, the rest kept as a bitmask: a violation
-    # can only appear when that element is added, and then exactly when
-    # some submask of the current set's mask is the rest of a broken
-    # circuit with that top
-    rest_by_top = {}
+    tops_by_rest = {}
+    cs = circuits(arr, lattice=lattice)
     natural = order == tuple(range(n))
-    for c in circuits(arr, lattice=lattice).masks:
-        if natural:
-            least = c & -c
-            top = c.bit_length() - 1
-        else:
-            bits = _bits(c)
-            least = 1 << min(bits, key=pos.__getitem__)
-            top = max(bits, key=pos.__getitem__)
-        rest_by_top.setdefault(top, set()).add(c ^ least ^ 1 << top)
+    if natural:
+        # positions are indices; a group's tops lie above its base, so its
+        # circuits share their least element and their rest
+        for base, tops in cs.groups:
+            rest = base & base - 1
+            tops_by_rest[rest] = tops_by_rest.get(rest, 0) | tops
+    else:
+        pos = [0] * n
+        for i, h in enumerate(order):
+            pos[h] = i
+        for c in cs.masks:
+            m = 0
+            for h in _bits(c):
+                m |= 1 << pos[h]
+            top = 1 << m.bit_length() - 1
+            rest = (m & m - 1) ^ top
+            tops_by_rest[rest] = tops_by_rest.get(rest, 0) | top
     sets_by_size = [[] for _ in range(rank + 1)]
+    every = (1 << n) - 1
 
-    def dfs(start_pos, current, mask):
-        sets_by_size[len(current)].append(tuple(sorted(current)))
+    def dfs(current, mask, forbid, start):
+        sets_by_size[len(current)].append(current)
         if len(current) == rank:
             return  # every further hyperplane is dependent
-        for p in range(start_pos, n):
-            h = order[p]
-            rests = rest_by_top.get(h)
-            if rests and _some_submask_in(mask, rests):
-                continue  # contains a broken circuit
-            current.append(h)
-            dfs(p + 1, current, mask | (1 << h))
-            current.pop()
+        free = every & -1 << start & ~forbid
+        while free:
+            low = free & -free
+            free ^= low
+            p = low.bit_length() - 1
+            f = forbid
+            sub = mask
+            while True:
+                f |= tops_by_rest.get(sub | low, 0)
+                if not sub:
+                    break
+                sub = sub - 1 & mask
+            dfs(current + (order[p],), mask | low, f, p + 1)
 
-    dfs(0, [], 0)
-    for bucket in sets_by_size:
-        bucket.sort()
+    dfs((), 0, tops_by_rest.get(0, 0), 0)
+    if not natural:
+        # under the natural order the DFS lists each size's sets sorted
+        sets_by_size = [sorted(tuple(sorted(s)) for s in bucket)
+                        for bucket in sets_by_size]
     return NbcBasis(order, sets_by_size)
-
-
-def _some_submask_in(mask, masks):
-    """Whether some submask of `mask`, the empty one included, is in the
-    set `masks`; walks the submasks from `mask` down to 0."""
-    sub = mask
-    while sub not in masks:
-        if not sub:
-            return False
-        sub = (sub - 1) & mask
-    return True
 
 
 def os_dimension(arr):

@@ -1,4 +1,6 @@
-"""Permutation-group actions on arrangements and Table 1 auditing.
+"""Permutation-group actions on arrangements, the Coxeter arrangement of a
+block layout (its root lines, which `--stability` looks for) and Table 1
+auditing.
 
 The group is a product of symmetric groups, one per Weyl block; sigma sends
 the ambient coordinate kappa_{b,i} to kappa_{b,sigma(i)} and the induced map
@@ -9,7 +11,7 @@ is applied to covectors.
 from collections import namedtuple
 from math import factorial
 
-from .errors import LayoutMismatch, NonIntegral, NotStable
+from .errors import InvalidParams, LayoutMismatch, NonIntegral, NotStable
 from .exactlin import project_zero_sum
 from .intpoly import exponents_from_poincare
 from .lattice import Arrangement, _bits, _mask_tables, _orbit
@@ -176,6 +178,26 @@ def hyperplane_orbits(arr, spec):
             placed |= orbit
             orbits.append(tuple(_bits(orbit)))
     return tuple(orbits)
+
+
+def gen_coxeter_namikawa(spec):
+    """All hyperplanes kappa_{b,i} = kappa_{b,j} per block, essentialized."""
+    blocks = tuple(int(b) for b in spec)
+    if not blocks or any(b < 1 for b in blocks):
+        raise InvalidParams("weyl spec must be nonempty with sizes >= 1")
+    dim = sum(b - 1 for b in blocks)
+    covs = []
+    pos = 0
+    for m in blocks:
+        for j in range(m):
+            for i in range(j + 1, m):
+                amb = [0] * sum(blocks)
+                amb[pos + i] = 1
+                amb[pos + j] = -1
+                covs.append(project_zero_sum(amb, blocks))
+        pos += m
+    return Arrangement(dim, covs, label="coxeter-%s" % "x".join(
+        "S%d" % b for b in blocks), tags=["T"] * len(covs), weyl=blocks)
 
 
 def contains_subarrangement(arr, sub):

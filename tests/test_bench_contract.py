@@ -121,11 +121,12 @@ def test_each_job_builds_one_lattice(monkeypatch, make, flags):
 
 
 def test_analyze_calls_osalg_and_generators_through_cli(monkeypatch):
-    """cmarr.cli.nbc_basis and cmarr.cli.gen_coxeter_namikawa import their
-    modules on the first call; bench/trace_job.py wraps them by name, so
+    """cmarr.cli.nbc_basis and cmarr.cli.inductive_freeness import their
+    modules on the first call, and cmarr.cli.gen_coxeter_namikawa is bound
+    from symmetry; bench/trace_job.py wraps all three by name, so
     run_analyze must call each through the cli attribute, once per job."""
     calls = []
-    for name in ("nbc_basis", "gen_coxeter_namikawa"):
+    for name in ("nbc_basis", "gen_coxeter_namikawa", "inductive_freeness"):
         real = getattr(cmarr.cli, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
@@ -134,11 +135,13 @@ def test_analyze_calls_osalg_and_generators_through_cli(monkeypatch):
 
         monkeypatch.setattr(cmarr.cli, name, counted)
     args = build_parser().parse_args(["analyze", "x.arr", "--os",
-                                      "--stability"])
+                                      "--stability", "--free"])
     report = cmarr.cli.run_analyze(gen_G8(), args)
-    assert sorted(calls) == ["gen_coxeter_namikawa", "nbc_basis"]
+    assert sorted(calls) == ["gen_coxeter_namikawa", "inductive_freeness",
+                             "nbc_basis"]
     assert report["os"]["total"] == 336
     assert report["stability"]["contains_coxeter"]
+    assert report["freeness"]["status"] == "InductivelyFree"
 
 
 def test_trace_hooks_read_real_results():

@@ -513,12 +513,13 @@ def test_help_exits_0(capsys):
 UNLOADED_BY_CLI_IMPORT = ("concurrent.futures", "dataclasses", "inspect",
                           "ast", "typing", "importlib.resources")
 
-# Modules only some `cmarr analyze` stages need: osalg for --os, generators
-# for --stability, and fractions, with the decimal and numbers it imports,
-# for a rational entry in the input file (--ff-primes interpolates in the
-# integers).
-STAGE_MODULES = ("cmarr.osalg", "cmarr.generators", "fractions", "decimal",
-                 "numbers")
+# Modules a `cmarr analyze` job loads only for the stages that need them:
+# osalg for --os, freeness for --free, and fractions, with the decimal and
+# numbers it imports, for a rational entry in the input file (--ff-primes
+# interpolates in the integers); and generators, which no stage loads
+# (--stability reads the Coxeter root lines from symmetry).
+STAGE_MODULES = ("cmarr.osalg", "cmarr.freeness", "cmarr.generators",
+                 "fractions", "decimal", "numbers")
 
 
 def _loaded_after(statement, modules, imported="cmarr.cli"):
@@ -557,13 +558,18 @@ def _g8_job(tmp_path, flags):
 
 def test_poincare_free_job_leaves_other_stages_unloaded(tmp_path):
     job = _g8_job(tmp_path, ["--poincare", "--free", "--json"])
-    assert _loaded_after(job, STAGE_MODULES) == []
+    assert _loaded_after(job, STAGE_MODULES) == ["cmarr.freeness"]
 
 
 def test_os_stability_ff_job_loads_its_stages(tmp_path):
     job = _g8_job(tmp_path, ["--os", "--stability", "--ff-primes", "5"])
-    assert _loaded_after(job, STAGE_MODULES) == ["cmarr.osalg",
-                                                 "cmarr.generators"]
+    assert _loaded_after(job, STAGE_MODULES) == ["cmarr.osalg"]
+
+
+def test_weyl_stages_load_no_stage_module(tmp_path):
+    job = _g8_job(tmp_path, ["--poincare", "--e-count", "--stability",
+                             "--orbits"])
+    assert _loaded_after(job, STAGE_MODULES) == []
 
 
 def test_symmetry_import_leaves_freeness_unloaded():

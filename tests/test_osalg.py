@@ -205,6 +205,17 @@ def test_circuits_with_negated_copy():
     assert circuits(arr).circuits == ((0, 1, 2), (0, 1, 3), (2, 3))
 
 
+def test_nbc_basis_with_negated_copy_every_order():
+    """The circuit {2, 3} has an empty rest, so its top is forbidden from
+    the root: under every order the nbc sets match the definition."""
+    arr = _with_parallel_copy(CONCURRENT3, 2, -1)
+    cs = circuits(arr)
+    assert len(cs) == len(cs.masks) == 3
+    for order in itertools.permutations(range(len(arr.hyperplanes))):
+        assert nbc_basis(arr, order).sets_by_size == \
+            _brute_force_nbc(arr, order)
+
+
 @settings(deadline=None, max_examples=60)
 @given(factored_arrangements(), st.data())
 def test_circuits_match_brute_force_with_parallel_copy(arr, data):
