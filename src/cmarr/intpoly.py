@@ -30,10 +30,10 @@ class IntPolynomial:
         return acc
 
     def __eq__(self, other):
+        # polynomials only: equal objects must hash equal, and an int
+        # hashes apart from the coefficient tuple
         if isinstance(other, IntPolynomial):
             return self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self == IntPolynomial([other])
         return NotImplemented
 
     def __hash__(self):
@@ -182,14 +182,12 @@ def _vanishes_at_minus_inverse(coeffs, b):
 
 def _divide_linear(coeffs, b):
     """Exact quotient of the polynomial by (1 + b t), else InexactDivision."""
-    # coeffs[k+1] = q[k+1] + b*q[k], solved from the top down
-    q = [0] * (len(coeffs) - 1)
-    q[-1] = coeffs[-1] // b
-    for k in range(len(q) - 2, -1, -1):
-        q[k] = (coeffs[k + 1] - q[k + 1]) // b
-    # floor division hides a remainder, so multiply back
-    if [q[0]] + [q[k] + b * q[k - 1] for k in range(1, len(q))] \
-            + [b * q[-1]] != list(coeffs):
+    # coeffs[k] = q[k] + b*q[k-1], solved from the constant term up; every
+    # coefficient but the top one then matches, so only that is checked
+    q = [coeffs[0]]
+    for c in coeffs[1:-1]:
+        q.append(c - b * q[-1])
+    if coeffs[-1] != b * q[-1]:
         raise InexactDivision("1 + %dt does not divide %r" % (b, coeffs))
     return q
 

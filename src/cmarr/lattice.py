@@ -233,11 +233,11 @@ def _mask_tables(perms):
     for perm in perms:
         tables = []
         for base in range(0, len(perm), 8):
-            table = [0] * (1 << min(8, len(perm) - base))
-            for b in range(1, len(table)):
-                low = b & -b
-                table[b] = table[b ^ low] \
-                    | 1 << perm[base + low.bit_length() - 1]
+            # the masks holding the byte's next bit are the masks before
+            # it, each with that bit's image added
+            table = [0]
+            for i in perm[base:base + 8]:
+                table += [t | 1 << i for t in table]
             tables.append(table)
         gens.append(tables)
     return gens

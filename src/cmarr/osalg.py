@@ -8,7 +8,7 @@ the algebra itself is represented combinatorially through nbc sets.
 # wraps it by name.
 from .errors import InvalidParams
 from .exactlin import rref  # noqa: F401
-from .lattice import _bits, lattice_of
+from .lattice import Arrangement, _bits, lattice_of
 
 
 class CircuitSet:
@@ -136,49 +136,47 @@ def broken_circuits(circuit_set, order):
 def nbc_basis(arr, order=None, lattice=None):
     """Enumerate the nbc sets of the arrangement under a hyperplane order.
 
-    DFS over hyperplanes in order position, never adding an element that
+    DFS over hyperplanes in index order, never adding an element that
     would complete a broken circuit.  That also cuts every dependent set:
     it contains a circuit C, so the broken circuit C - min(C), completed
-    when the order-largest element of C is added.  `lattice` is L(arr) or
-    None.
+    when the largest element of C is added.  `lattice` is L(arr) or None.
 
-    Each broken circuit is filed, in order positions, under its rest (the
-    circuit minus its least and top elements): `tops_by_rest[rest]` is the
-    mask of the tops filed there.  A set S may not take next the top of
-    any broken circuit whose rest lies inside S; the DFS carries that mask
-    `forbid`.  Adding position p to S forbids, besides what S forbids, the
-    tops filed under each rest that contains p, i.e. under R + p for each
-    submask R of S: at most 2^|S| lookups.  The root forbids the tops of
-    the empty rest, those of the 2-element circuits.
+    Each broken circuit is filed under its rest (the circuit minus its
+    least and top elements): `tops_by_rest[rest]` is the mask of the tops
+    filed there.  A circuit group's tops lie above its base, so its
+    circuits share their least element and their rest.  A set S may not
+    take next the top of any broken circuit whose rest lies inside S; the
+    DFS carries that mask `forbid`.  Adding p to S forbids, besides what S
+    forbids, the tops filed under each rest that contains p, i.e. under
+    R + p for each submask R of S: at most 2^|S| lookups.  The root forbids
+    the tops of the empty rest, those of the 2-element circuits.
+
+    Under another order, the nbc sets are those of the same hyperplanes
+    relabelled, position p holding hyperplane order[p], in index order;
+    a `lattice` handed in is only checked to be L(arr), as the relabelled
+    hyperplanes build their own.
     """
-    lattice = lattice_of(arr, lattice)
     n = len(arr.hyperplanes)
-    if order is None:
-        order = tuple(range(n))
-    order = tuple(order)
+    order = tuple(range(n)) if order is None else tuple(order)
     if sorted(order) != list(range(n)):
         raise InvalidParams("order must be a permutation of 0..%d" % (n - 1))
+    if order != tuple(range(n)):
+        if lattice is not None:
+            lattice_of(arr, lattice)  # rejects another arrangement's lattice
+        # set after construction, so duplicate hyperplanes stay; no Weyl
+        # layout or kept `_perms` describes the new indices
+        moved = Arrangement(arr.dim, ())
+        moved.hyperplanes = tuple(arr.hyperplanes[h] for h in order)
+        tags = getattr(arr, "tags", None)
+        moved.tags = None if tags is None else tuple(tags[h] for h in order)
+        return NbcBasis(order, [
+            sorted(tuple(sorted(order[p] for p in s)) for s in bucket)
+            for bucket in nbc_basis(moved).sets_by_size])
     rank = arr.rank
     tops_by_rest = {}
-    cs = circuits(arr, lattice=lattice)
-    natural = order == tuple(range(n))
-    if natural:
-        # positions are indices; a group's tops lie above its base, so its
-        # circuits share their least element and their rest
-        for base, tops in cs.groups:
-            rest = base & base - 1
-            tops_by_rest[rest] = tops_by_rest.get(rest, 0) | tops
-    else:
-        pos = [0] * n
-        for i, h in enumerate(order):
-            pos[h] = i
-        for c in cs.masks:
-            m = 0
-            for h in _bits(c):
-                m |= 1 << pos[h]
-            top = 1 << m.bit_length() - 1
-            rest = (m & m - 1) ^ top
-            tops_by_rest[rest] = tops_by_rest.get(rest, 0) | top
+    for base, tops in circuits(arr, lattice=lattice).groups:
+        rest = base & base - 1
+        tops_by_rest[rest] = tops_by_rest.get(rest, 0) | tops
     sets_by_size = [[] for _ in range(rank + 1)]
     every = (1 << n) - 1
 
@@ -198,13 +196,10 @@ def nbc_basis(arr, order=None, lattice=None):
                 if not sub:
                     break
                 sub = sub - 1 & mask
-            dfs(current + (order[p],), mask | low, f, p + 1)
+            dfs(current + (p,), mask | low, f, p + 1)
 
+    # the DFS lists each size's sets sorted
     dfs((), 0, tops_by_rest.get(0, 0), 0)
-    if not natural:
-        # under the natural order the DFS lists each size's sets sorted
-        sets_by_size = [sorted(tuple(sorted(s)) for s in bucket)
-                        for bucket in sets_by_size]
     return NbcBasis(order, sets_by_size)
 
 

@@ -60,6 +60,34 @@ def test_divide_linear_exact_and_typed():
         _divide_linear([1, 4, 3], 2)
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=6)
+       .filter(lambda q: q[-1]), st.integers(1, 30), st.data())
+def test_divide_linear_matches_multiply_back(q, b, data):
+    """On a product q (1 + b t) the quotient is q, and it multiplies back
+    to the product.  With one coefficient changed, -1/b is no root, so no
+    quotient multiplies back, not even a rational one: InexactDivision."""
+    product = list((IntPolynomial(q) * IntPolynomial([1, b])).coeffs)
+    quotient = _divide_linear(product, b)
+    assert quotient == q
+    assert list((IntPolynomial(quotient) * IntPolynomial([1, b])).coeffs) \
+        == product
+    k = data.draw(st.integers(0, len(product) - 1))
+    product[k] += data.draw(st.integers(-5, 5).filter(bool))
+    assert sum(c * Fraction(-1, b) ** i for i, c in enumerate(product)) != 0
+    with pytest.raises(InexactDivision):
+        _divide_linear(product, b)
+
+
+def test_int_polynomial_equal_objects_hash_equal():
+    """Equality is between polynomials only, so equal objects hash equal
+    and a constant polynomial is not equal to the int it holds."""
+    assert IntPolynomial([5, 0]) == IntPolynomial([5])
+    assert hash(IntPolynomial([5, 0])) == hash(IntPolynomial([5]))
+    assert IntPolynomial([5]) != 5
+    assert 5 not in {IntPolynomial([5])}
+
+
 @st.composite
 def polynomial_and_candidates(draw):
     """Ascending coefficients of a product of (1 + b t) factors and one

@@ -15,7 +15,7 @@ from cmarr.freeness import inductive_freeness
 from cmarr.generators import (gen_G4, gen_G8, gen_coxeter_namikawa,
                               gen_cyclic, gen_dihedral_even, gen_wreath)
 from cmarr.intpoly import IntPolynomial, lagrange_interpolate
-from cmarr.lattice import (Arrangement, _bits, _prime_factors,
+from cmarr.lattice import (Arrangement, _bits, _mask_tables, _prime_factors,
                            admissible_primes, bad_primes,
                            build_lattice, char_poly_finite_field,
                            characteristic_polynomial, complement_count,
@@ -760,6 +760,20 @@ def test_orbit_build_matches_plain_random(arr):
 def test_bad_primes_on_orbits_match_basis_scan(arr):
     """bad_primes scans one flat per W-orbit; the basis scan sees no W."""
     assert bad_primes(arr) == _bad_primes_by_bases(arr)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 30).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)))
+def test_mask_tables_map_each_byte_by_definition(perms):
+    """tables[k][b] is the image of the mask b << 8k: the union of
+    1 << perm[i] over its bits i.  Lengths 1..30 end in a partial byte."""
+    for perm, tables in zip(perms, _mask_tables(perms)):
+        assert len(tables) == (len(perm) + 7) // 8
+        for k, table in enumerate(tables):
+            assert len(table) == 1 << min(8, len(perm) - 8 * k)
+            for b, image in enumerate(table):
+                assert image == sum(1 << perm[i] for i in _bits(b << 8 * k))
 
 
 def test_lattice_holds_masks_and_mobius_per_rank():

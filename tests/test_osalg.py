@@ -14,6 +14,7 @@ from cmarr.lattice import (Arrangement, _bits, build_lattice,
 from cmarr.generators import gen_G4, gen_G8, gen_dihedral_even, gen_wreath
 from cmarr.osalg import broken_circuits, circuits, nbc_basis, os_dimension
 from cmarr.exactlin import rank_of
+from cmarr.symmetry import is_stable
 
 BOOLEAN2 = Arrangement(2, [(1, 0), (0, 1)])
 CONCURRENT3 = Arrangement(2, [(1, 0), (0, 1), (1, 1)])
@@ -310,10 +311,27 @@ def test_circuit_masks_match_tuples(name):
 
 
 def test_nbc_basis_matches_definition_wreath_a3_2():
-    """Both ways nbc_basis reads a circuit mask's least and top element:
-    bit positions under the natural order, order positions otherwise."""
+    """The natural order, read off the circuit groups directly, and the
+    reversed order, read as a relabelling of the hyperplanes."""
     arr = gen_wreath("A3", 4, 2)
     n = len(arr.hyperplanes)
     for order in (tuple(range(n)), tuple(reversed(range(n)))):
         assert nbc_basis(arr, order).sets_by_size == \
             _brute_force_nbc(arr, order)
+
+
+def test_nbc_basis_reversed_order_ignores_kept_layout_and_lattice():
+    """G8 checked stable keeps its generators' hyperplane permutations, and
+    the lattice handed in is G8's own; under the reversed order neither
+    describes the relabelled hyperplanes, and the nbc sets still match the
+    definition."""
+    arr = gen_G8()
+    assert is_stable(arr, arr.weyl)
+    assert arr._perms is not None
+    lat = build_lattice(arr)
+    order = tuple(reversed(range(len(arr.hyperplanes))))
+    basis = nbc_basis(arr, order, lattice=lat)
+    assert basis.order == order
+    assert basis.sets_by_size == _brute_force_nbc(arr, order)
+    with pytest.raises(FlatNotInLattice, match="another arrangement"):
+        nbc_basis(arr, order, lattice=build_lattice(gen_G8()))
