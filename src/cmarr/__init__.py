@@ -14,7 +14,7 @@ _EXPORTS = {
     "exactlin": ("Subspace", "common_kernel", "normalize_covector", "rank_of",
                  "restrict_covectors_to"),
     "freeness": ("FreenessVerdict", "deletion", "inductive_freeness",
-                 "localization", "nonfree_by_localization", "restriction"),
+                 "restriction"),
     "generators": ("RootSystem", "TableRow", "gen_G4", "gen_G8", "gen_cyclic",
                    "gen_dihedral_even", "gen_wreath", "root_system",
                    "table1_rows"),

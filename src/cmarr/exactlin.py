@@ -11,16 +11,15 @@ operations v <- a*v - b*row followed by division by the content.  Every step
 multiplies v by a nonzero integer and subtracts an element of the span, so
 the residual is zero exactly when v lies in the span: the kernel is exact by
 construction and needs no modulus, no determinant bound and no choice of
-prime.  The intersection lattice, `rank_of`, `span_coordinates` and the
-containment check of `freeness.localization` run on it.  The lattice build
-reduces each flat into existence once, against the rows of one flat it
-covers, and reduces no hyperplane of a cover it already knows; circuits
-and nbc sets read joins off the lattice and run no elimination.  `rref`
-over Fraction runs only where the unique reduced echelon basis is itself
-the output: `Subspace` and `common_kernel`.  Those rational functions
-import `fractions` when called, so a job on integer covectors never loads
-it.  `project_zero_sum` essentializes covectors written in the ambient
-coordinates of zero-sum blocks.
+prime.  The intersection lattice, `rank_of` and `span_coordinates` run on
+it.  The lattice build reduces each flat into existence once, against the
+rows of one flat it covers, and reduces no hyperplane of a cover it already
+knows; circuits and nbc sets read joins off the lattice and run no
+elimination.  `rref` over Fraction runs only where the unique reduced
+echelon basis is itself the output: `Subspace` and `common_kernel`.  Those
+rational functions import `fractions` when called, so a job on integer
+covectors never loads it.  `project_zero_sum` essentializes covectors
+written in the ambient coordinates of zero-sum blocks.
 """
 
 from math import gcd, lcm

@@ -9,15 +9,14 @@ chains for the addition-deletion triple.
 
 from collections import Counter
 
-from .errors import (DimensionMismatch, ExponentMismatch, FlatNotInLattice,
-                     IndexOutOfRange, InvalidParams)
+from .errors import (DimensionMismatch, ExponentMismatch, IndexOutOfRange,
+                     InvalidParams)
 # common_kernel and restrict_covectors_to are unused here but stay bound in
 # this module: bench/trace_job.py wraps them by name.
-from .exactlin import (common_kernel, echelon, reduce_covector,  # noqa: F401
-                       restrict_covectors_to)
+from .exactlin import common_kernel, restrict_covectors_to  # noqa: F401
 from .intpoly import IntPolynomial, exponents_from_poincare
 from .lattice import (Arrangement, _bits, build_lattice, essentialize,
-                      localization_poincare, poincare_polynomial)
+                      lattice_of, localization_poincare, poincare_polynomial)
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -65,30 +64,6 @@ def restriction(arr, h):
         if any(coords):
             covs.append(coords)
     return Arrangement(arr.dim - 1, covs)
-
-
-def localization(arr, flat):
-    """Sub-arrangement of exactly the hyperplanes containing the flat."""
-    held = flat.hyperplanes
-    for i in held:
-        if not 0 <= i < len(arr.hyperplanes):
-            raise FlatNotInLattice("hyperplane index %d out of range" % i)
-    # the flat is cut out by the listed covectors of its own arrangement,
-    # and a hyperplane contains it iff its covector lies in their span; a
-    # genuine flat of this arrangement lists *every* such hyperplane, so a
-    # mismatch either way means the flat belongs to another lattice
-    own = flat._arr.hyperplanes
-    rows = echelon(own[i] for i in held)
-    for i, cov in enumerate(arr.hyperplanes):
-        contains = reduce_covector(cov, rows) is None
-        if i in held and not contains:
-            raise FlatNotInLattice(
-                "hyperplane %d does not contain the flat" % i)
-        if contains and i not in held:
-            raise FlatNotInLattice(
-                "hyperplane %d contains the flat but is not listed" % i)
-    covs = [arr.hyperplanes[i] for i in sorted(held)]
-    return Arrangement(arr.dim, covs)
 
 
 class FreenessVerdict:
@@ -155,8 +130,8 @@ def inductive_freeness(arr, budget=DEFAULT_BUDGET, lattice=None):
     """
     if budget <= 0:
         raise InvalidParams("budget must be positive")
-    if lattice is not None and lattice.arrangement is not arr:
-        raise FlatNotInLattice("lattice was built from another arrangement")
+    if lattice is not None:
+        lattice_of(arr, lattice)  # rejects another arrangement's lattice
     memo = {}
     bud = _Budget(budget)
     ess = essentialize(arr)
@@ -263,7 +238,7 @@ def _decide(arr, memo, bud, known, lat):
             "chain": [step] + v1.witness.get("chain", [])})
     # the search failed: look for a cheap non-freeness certificate among
     # proper localizations of rank >= 3 before giving up
-    found = _nonfree_localization(lat or build_lattice(arr), proper=True)
+    found = _nonfree_localization(lat or build_lattice(arr))
     if found is not None:
         flat, inner = found
         return FreenessVerdict("NotFree", witness=dict(
@@ -277,34 +252,17 @@ def _residual_witness(p, rep):
             "residual": list(rep.residual.coeffs)}
 
 
-def _nonfree_localization(lat, proper):
+def _nonfree_localization(lat):
     """(sorted hyperplanes of X, residual witness of pi(A_X)) for the first
-    flat X of rank >= 3, in the order of lat.masks, whose localization's
-    Poincare polynomial does not factor, or None.  `proper` skips the flat
-    on every hyperplane; rank <= 2 localizations are always free."""
-    n = len(lat.arrangement.hyperplanes)
-    for r in range(3, len(lat.masks)):
+    proper flat X of rank >= 3, in the order of lat.masks, whose
+    localization's Poincare polynomial does not factor, or None.  The last
+    level holds only the top, the flat on every hyperplane, so it is not
+    scanned; rank <= 2 localizations are always free."""
+    for r in range(3, len(lat.masks) - 1):
         for x in lat.masks[r]:
-            if proper and x.bit_count() == n:
-                continue
             p = localization_poincare(lat, x, r)
             rep = exponents_from_poincare(p)
             if not rep.factors_integrally:
                 return _bits(x), _residual_witness(p, rep)
     return None
 
-
-def nonfree_by_localization(arr):
-    """Scan flats by increasing rank for a localization certified NotFree.
-
-    Returns a NotFree verdict naming the first flat X, in (rank, sorted
-    hyperplanes) order, whose pi(A_X) does not factor, else None.  A search
-    on A_X could only find NotFree through such a flat at or below X.
-    """
-    found = _nonfree_localization(build_lattice(arr), proper=False)
-    if found is None:
-        return None
-    flat, inner = found
-    return FreenessVerdict("NotFree", witness={
-        "reason": "nonfree_localization", "flat_hyperplanes": flat,
-        "inner": inner})

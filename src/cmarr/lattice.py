@@ -349,29 +349,6 @@ def build_lattice(arr):
                                tuple(rep_masks))
 
 
-def mobius_by_rank(levels):
-    """Mobius values mu(V, X) for flats given as bitmasks per rank.
-
-    mu(bottom) = 1 and mu(X) = -sum of mu(Z) over the flats Z below X,
-    which lie in lower ranks.  In a geometric lattice mu(X) is nonzero with
-    sign (-1)^rank(X); a violation means the levels are not the lattice of
-    an arrangement and raises MobiusSignViolation.
-    """
-    out = [[1] * len(levels[0])]
-    below = [(z, 1) for z in levels[0]]
-    for r in range(1, len(levels)):
-        mus = []
-        for x in levels[r]:
-            mu = -sum(m for z, m in below if z & x == z)
-            if mu * (-1) ** r <= 0:
-                raise MobiusSignViolation(
-                    "Mobius sign violation at rank %d" % r)
-            mus.append(mu)
-        out.append(mus)
-        below.extend(zip(levels[r], mus))
-    return out
-
-
 def poincare_polynomial(lat):
     """pi(A, t) = sum_X mu(X) (-t)^rank(X)."""
     return IntPolynomial([(-1) ** r * sum(mus)

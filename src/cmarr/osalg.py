@@ -123,16 +123,6 @@ def circuits(arr, lattice=None):
     return CircuitSet(found)
 
 
-def broken_circuits(circuit_set, order):
-    """Each circuit minus its least element w.r.t. the given order."""
-    pos = {h: i for i, h in enumerate(order)}
-    out = []
-    for c in circuit_set:
-        least = min(c, key=lambda h: pos[h])
-        out.append(frozenset(h for h in c if h != least))
-    return out
-
-
 def nbc_basis(arr, order=None, lattice=None):
     """Enumerate the nbc sets of the arrangement under a hyperplane order.
 

@@ -12,14 +12,14 @@ from cmarr.errors import (DimensionMismatch, ExponentMismatch,
                           MalformedPolynomial)
 from cmarr.exactlin import common_kernel, rank_of, restrict_covectors_to
 from cmarr.freeness import (FreenessVerdict, _deletion_lines, deletion,
-                            inductive_freeness, localization,
-                            nonfree_by_localization, restriction)
+                            inductive_freeness, restriction)
 from cmarr.generators import (gen_G8, gen_coxeter_namikawa,
                               gen_dihedral_even, gen_wreath)
 from cmarr.intpoly import (ExponentReport, IntPolynomial, _divide_linear,
                            _vanishes_at_minus_inverse, exponents_from_poincare)
 from cmarr.lattice import (Arrangement, Flat, build_lattice, essentialize,
                            localization_poincare, poincare_polynomial)
+from reference import _exponents_and_coxeter_number, localization
 
 CONCURRENT3 = Arrangement(2, [(1, 0), (0, 1), (1, 1)])
 
@@ -364,6 +364,27 @@ def test_budget_limited_verdict_golden(name):
             assert verdict.nodes_used == int(budget)
 
 
+def nonfree_by_localization(arr):
+    """The NotFree certificate the search reads off L(arr) by rank, as one
+    verdict naming its flat, or None: first the scan of proper flats it
+    runs when no chain is found, then the residual of pi(A) itself, the
+    top flat, when A has rank >= 3."""
+    lat = build_lattice(arr)
+    found = free_mod._nonfree_localization(lat)
+    if found is None and arr.rank >= 3:
+        p = poincare_polynomial(lat)
+        rep = exponents_from_poincare(p)
+        if not rep.factors_integrally:
+            found = (list(range(len(arr))),
+                     free_mod._residual_witness(p, rep))
+    if found is None:
+        return None
+    flat, inner = found
+    return FreenessVerdict("NotFree", witness={
+        "reason": "nonfree_localization", "flat_hyperplanes": flat,
+        "inner": inner})
+
+
 def test_nonfree_by_localization_boolean():
     assert nonfree_by_localization(Arrangement(3, [(1, 0, 0), (0, 1, 0),
                                                    (0, 0, 1)])) is None
@@ -608,11 +629,21 @@ FRONTIER_GOLDEN = Path(__file__).resolve().parent / "data" \
     / "frontier_golden.json"
 
 
+def _catalan_cone_exponents(label, n):
+    """(1, m_i + (n - 1) h), sorted: the exponents of the cone over the
+    extended Catalan arrangement Cat^{n-1} of the root system, which is
+    free (conjectured by Edelman and Reiner, proved by Yoshinaga) and is
+    what gen_wreath builds for n <= 3."""
+    exponents, h = _exponents_and_coxeter_number(label)
+    return tuple(sorted([1] + [m + (n - 1) * h for m in exponents]))
+
+
 def test_wreath_a4_3_verdict_golden():
     golden = json.loads(FRONTIER_GOLDEN.read_text())["wreath-A4-3"]
     verdict = inductive_freeness(gen_wreath("A4", 5, 3))
     assert json.loads(json.dumps(verdict.to_dict())) \
         == golden["inductive_freeness"]
+    assert verdict.exponents == _catalan_cone_exponents("A4", 3)
 
 
 def test_wreath_d4_2_plain_build_golden():
@@ -625,6 +656,7 @@ def test_wreath_d4_2_plain_build_golden():
     verdict = inductive_freeness(arr, lattice=lat)
     assert json.loads(json.dumps(verdict.to_dict())) \
         == golden["inductive_freeness"]
+    assert verdict.exponents == _catalan_cone_exponents("D4", 2)
 
 
 def test_inductive_freeness_rejects_foreign_lattice():

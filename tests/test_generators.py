@@ -1,4 +1,3 @@
-from collections import Counter
 from math import prod
 
 import pytest
@@ -14,6 +13,7 @@ from cmarr.intpoly import IntPolynomial
 from cmarr.lattice import build_lattice, poincare_polynomial
 from cmarr.exactlin import rank_of
 from cmarr.symmetry import terminalization_count
+from reference import _exponents_and_coxeter_number
 
 
 def poincare(arr):
@@ -132,16 +132,6 @@ def test_wreath_d_type():
     assert len(w) == 1 + 12 + 24
     assert w.dim == 5 and rank_of(w.hyperplanes) == 5
     assert w.tags.count("T") == 13
-
-
-def _exponents_and_coxeter_number(label):
-    """The exponents m_i, the dual partition of the number of positive roots
-    at each height, and the Coxeter number h, the largest height plus 1."""
-    rs = root_system(label)
-    by_height = Counter(sum(beta) for beta in rs.positive_roots)
-    exponents = [sum(1 for count in by_height.values() if count >= i)
-                 for i in range(1, rs.rank + 1)]
-    return exponents, max(by_height) + 1
 
 
 def _fuss_catalan(label, n):

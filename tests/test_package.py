@@ -25,9 +25,8 @@ PUBLIC = [
     'exponents_from_poincare', 'freeness', 'gen_G4', 'gen_G8',
     'gen_coxeter_namikawa', 'gen_cyclic', 'gen_dihedral_even', 'gen_wreath',
     'generators', 'hyperplane_orbits', 'inductive_freeness', 'intpoly',
-    'is_stable', 'lattice', 'localization', 'nbc_basis',
-    'nonfree_by_localization', 'normalize_covector', 'os_dimension', 'osalg',
-    'parse_arrangement', 'poincare_polynomial', 'rank_of',
+    'is_stable', 'lattice', 'nbc_basis', 'normalize_covector', 'os_dimension',
+    'osalg', 'parse_arrangement', 'poincare_polynomial', 'rank_of',
     'restrict_covectors_to', 'restriction', 'root_system', 'symmetry',
     'table1_rows', 'terminalization_count', 'whitney_numbers']
 

@@ -4,6 +4,8 @@ import ast
 import importlib.util
 from pathlib import Path
 
+import cmarr
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "cmarr"
 
 
@@ -48,20 +50,18 @@ def test_imports_are_used():
     assert unused == []
 
 
-def test_private_functions_are_read():
-    # a module-level private function or class that no other code in
-    # src/cmarr reads, and that bench/trace_job.py does not wrap, is dead;
-    # a dunder such as the package's __getattr__ is read by the interpreter
-    wrapped = _wrapped_names()
-    private = []
-    readers = {}  # name -> {(file, top-level definition reading it)}
+def _definitions_and_readers():
+    """The module-level functions and classes of src/cmarr as (path, line,
+    name), and for each name the (file, top-level definition) pairs that
+    read it, by name or as an attribute."""
+    defined = []
+    readers = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for top in tree.body:
             owner = getattr(top, "name", None)
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) \
-                    and owner.startswith("_") and not owner.endswith("__"):
-                private.append((path, top.lineno, owner))
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path, top.lineno, owner))
             for node in ast.walk(top):
                 if isinstance(node, ast.Name) \
                         and isinstance(node.ctx, ast.Load):
@@ -71,10 +71,40 @@ def test_private_functions_are_read():
                 else:
                     continue
                 readers.setdefault(name, set()).add((path.name, owner))
+    return defined, readers
+
+
+def _read_elsewhere(readers, path, name):
+    return bool(readers.get(name, set()) - {(path.name, name)})
+
+
+def test_private_functions_are_read():
+    # a module-level private function or class that no other code in
+    # src/cmarr reads, and that bench/trace_job.py does not wrap, is dead;
+    # a dunder such as the package's __getattr__ is read by the interpreter
+    wrapped = _wrapped_names()
+    defined, readers = _definitions_and_readers()
     unread = ["%s:%d %s" % (path.name, line, name)
-              for path, line, name in private
-              if (path.stem, name) not in wrapped
-              and not readers.get(name, set()) - {(path.name, name)}]
+              for path, line, name in defined
+              if name.startswith("_") and not name.endswith("__")
+              and (path.stem, name) not in wrapped
+              and not _read_elsewhere(readers, path, name)]
+    assert unread == []
+
+
+def test_public_functions_are_read():
+    # a module-level public function or class is read by other code in
+    # src/cmarr, exported through cmarr._EXPORTS, or wrapped by
+    # bench/trace_job.py under some module's name; anything else, such as a
+    # reference route only the tests call, belongs in tests/reference.py
+    exported = {name for names in cmarr._EXPORTS.values() for name in names}
+    wrapped = {attr for _, attr in _wrapped_names()}
+    defined, readers = _definitions_and_readers()
+    unread = ["%s:%d %s" % (path.name, line, name)
+              for path, line, name in defined
+              if not name.startswith("_")
+              and name not in exported and name not in wrapped
+              and not _read_elsewhere(readers, path, name)]
     assert unread == []
 
 

@@ -1,11 +1,13 @@
-"""Count the code lines of each module under a source directory.
+"""Count the code lines of Python modules: each file named, and each module
+of each directory named, with a total per directory.
 
 A code line holds at least one token other than a comment, a docstring or
 layout (newlines, indentation).  A token that spans several lines, such as
 a multi-line string that is not a docstring, counts every line it spans.
 Standard library only.
 
-    python3 tools/code_lines.py [DIR]        # default: src/cmarr
+    python3 tools/code_lines.py [PATH ...]   # default: src/cmarr
+    python3 tools/code_lines.py src/cmarr tests/reference.py
 """
 
 import ast
@@ -48,14 +50,17 @@ def code_lines(path):
 
 
 def main(argv):
-    root = argv[1] if len(argv) > 1 else "src/cmarr"
-    total = 0
-    for name in sorted(os.listdir(root)):
-        if name.endswith(".py"):
-            n = code_lines(os.path.join(root, name))
-            total += n
-            print("%6d  %s" % (n, name))
-    print("%6d  total" % total)
+    for path in argv[1:] or ["src/cmarr"]:
+        if not os.path.isdir(path):
+            print("%6d  %s" % (code_lines(path), path))
+            continue
+        total = 0
+        for name in sorted(os.listdir(path)):
+            if name.endswith(".py"):
+                n = code_lines(os.path.join(path, name))
+                total += n
+                print("%6d  %s" % (n, name))
+        print("%6d  total %s" % (total, path))
 
 
 if __name__ == "__main__":
