@@ -25,18 +25,15 @@ def deletion(arr, h):
     """The arrangement with hyperplane h removed; same ambient dimension.
 
     arr's covectors are already normalized and distinct, so the node is
-    built from slices of them, with no second pass of the constructor.
+    built from slices of them by `Arrangement._trusted`, with no second
+    pass of the constructor.
     """
     if not 0 <= h < len(arr.hyperplanes):
         raise IndexOutOfRange("hyperplane index %d out of range" % h)
-    out = Arrangement.__new__(Arrangement)
-    out.dim = arr.dim
-    out.hyperplanes = arr.hyperplanes[:h] + arr.hyperplanes[h + 1:]
-    out.label = arr.label
-    out.tags = None if arr.tags is None else arr.tags[:h] + arr.tags[h + 1:]
-    out.weyl = arr.weyl
-    out._rank = None
-    return out
+    return Arrangement._trusted(
+        arr.dim, arr.hyperplanes[:h] + arr.hyperplanes[h + 1:], arr.label,
+        None if arr.tags is None else arr.tags[:h] + arr.tags[h + 1:],
+        arr.weyl)
 
 
 def restriction(arr, h):

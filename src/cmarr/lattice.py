@@ -34,29 +34,36 @@ class Arrangement:
 
     def __init__(self, dim, covectors, label=None, tags=None, weyl=None):
         self.dim = int(dim)
-        hyps = []
-        kept_tags = []
-        seen = set()
         covectors = list(covectors)
         if tags is not None and len(tags) != len(covectors):
             raise InvalidParams("tags length %d != covector count %d"
                                 % (len(tags), len(covectors)))
+        first = {}  # normalized covector -> index of its first occurrence
         for i, c in enumerate(covectors):
             if len(c) != self.dim:
                 raise DimensionMismatch(
                     "covector length %d != dim %d" % (len(c), self.dim))
-            nc = normalize_covector(c)
-            if nc in seen:
-                continue
-            seen.add(nc)
-            hyps.append(nc)
-            if tags is not None:
-                kept_tags.append(tags[i])
-        self.hyperplanes = tuple(hyps)
+            first.setdefault(normalize_covector(c), i)
+        self.hyperplanes = tuple(first)
         self.label = label
-        self.tags = tuple(kept_tags) if tags is not None else None
+        self.tags = None if tags is None \
+            else tuple(tags[i] for i in first.values())
         self.weyl = tuple(weyl) if weyl is not None else None
         self._rank = None
+
+    @classmethod
+    def _trusted(cls, dim, hyperplanes, label, tags, weyl, rank=None):
+        """An arrangement holding the tuple `hyperplanes` as it is, for
+        covectors some arrangement already normalized and deduplicated; a
+        `rank` handed in is kept, so no elimination runs for it."""
+        out = cls.__new__(cls)
+        out.dim = dim
+        out.hyperplanes = hyperplanes
+        out.label = label
+        out.tags = tags
+        out.weyl = weyl
+        out._rank = rank
+        return out
 
     def __len__(self):
         return len(self.hyperplanes)
@@ -123,7 +130,8 @@ class IntersectionLattice:
     same positions.  `representatives[r]` holds one mask per W-orbit of
     rank-r flats, the flats `build_lattice` reduced; under the trivial
     group, every flat.  `flats` builds a new `Flat` view of every flat, rank
-    by rank, on each read.
+    by rank, on each read.  `relabelled(order)` is the same lattice with the
+    hyperplanes in another order, permuted rather than built again.
     """
 
     __slots__ = ("arrangement", "masks", "mobius", "representatives",
@@ -174,6 +182,42 @@ class IntersectionLattice:
                         jx[h] = y
         jx = self._joins[x] = tuple(jx)
         return jx
+
+    def relabelled(self, order):
+        """L(A) of A's hyperplanes relabelled, position p holding hyperplane
+        order[p].
+
+        A relabelling is a lattice isomorphism: each flat's mask is mapped
+        through the permutation, keeps its Mobius number and rank, and each
+        level is sorted again as `build_lattice` sorts it.  The relabelled
+        arrangement has no label and no Weyl layout, so every flat
+        represents its own orbit, and its rank is read off the levels.  An
+        `order` that is no permutation of the hyperplane indices raises
+        InvalidParams.
+        """
+        arr = self.arrangement
+        n = len(arr.hyperplanes)
+        order = tuple(order)
+        if sorted(order) != list(range(n)):
+            raise InvalidParams("order must be a permutation of 0..%d"
+                                % (n - 1))
+        # where[h] is the position of hyperplane h
+        where = sorted(range(n), key=order.__getitem__)
+        tables = _mask_tables([where])[0]
+        masks, mobius = [], []
+        for level, mus in zip(self.masks, self.mobius):
+            mu_of = {_image(x, tables): mu for x, mu in zip(level, mus)}
+            masks.append(_sorted_level(mu_of, n))
+            mobius.append(tuple(mu_of[y] for y in masks[-1]))
+        # getattr: callers may hand in any object with the arrangement's
+        # fields, tags included or not
+        tags = getattr(arr, "tags", None)
+        moved = Arrangement._trusted(
+            arr.dim, tuple(arr.hyperplanes[h] for h in order), None,
+            None if tags is None else tuple(tags[h] for h in order), None,
+            len(masks) - 1)
+        return IntersectionLattice(moved, tuple(masks), tuple(mobius),
+                                   tuple(masks))
 
 
 def flat_children(covs, x, rows, done):
@@ -243,17 +287,22 @@ def _mask_tables(perms):
     return gens
 
 
+def _image(y, tables):
+    """The image of mask y under one permutation's `_mask_tables`."""
+    w = 0
+    for table in tables:
+        w |= table[y & 255]
+        y >>= 8
+    return w
+
+
 def _orbit(y, gens):
     """The masks of y's orbit under the generator tables, y first."""
     orbit = [y]
     seen = {y}
     for z in orbit:
         for tables in gens:
-            w = 0
-            v = z
-            for table in tables:
-                w |= table[v & 255]
-                v >>= 8
+            w = _image(z, tables)
             if w not in seen:
                 seen.add(w)
                 orbit.append(w)
@@ -297,10 +346,6 @@ def build_lattice(arr):
     """
     covs = arr.hyperplanes
     gens = _generator_tables(arr)
-    # format(y, digits)[::-1] is y's bits, lowest first; sorted largest
-    # first, these strings give the order of the sorted hyperplane indices,
-    # because within one level no flat's index list is a prefix of another's
-    digits = "0%db" % len(covs)
     masks, mobius = [(0,)], [(1,)]
     reps = [(0, (), 1, 1)]  # (mask, echelon rows, orbit size, mu)
     rep_masks = [(0,)]
@@ -341,12 +386,24 @@ def build_lattice(arr):
                 raise MobiusSignViolation(
                     "Mobius sign violation at rank %d" % r)
             reps.append((y, rows, size, mu))
-        masks.append(tuple(sorted(
-            orbit_of, key=lambda y: format(y, digits)[::-1], reverse=True)))
+        masks.append(_sorted_level(orbit_of, len(covs)))
         mobius.append(tuple(reps[orbit_of[y]][3] for y in masks[r]))
         rep_masks.append(tuple(y for y, *_ in reps))
     return IntersectionLattice(arr, tuple(masks), tuple(mobius),
                                tuple(rep_masks))
+
+
+def _sorted_level(masks, n):
+    """One level's masks of n-bit flats, ordered by their sorted hyperplane
+    indices, as a tuple.
+
+    format(y, digits)[::-1] is y's bits, lowest first; sorted largest
+    first, these strings give the order of the sorted hyperplane indices,
+    because within one level no flat's index list is a prefix of another's.
+    """
+    digits = "0%db" % n
+    return tuple(sorted(masks, key=lambda y: format(y, digits)[::-1],
+                        reverse=True))
 
 
 def poincare_polynomial(lat):

@@ -6,9 +6,8 @@ the algebra itself is represented combinatorially through nbc sets.
 
 # rref is unused here but stays bound in this module: bench/trace_job.py
 # wraps it by name.
-from .errors import InvalidParams
 from .exactlin import rref  # noqa: F401
-from .lattice import Arrangement, _bits, lattice_of
+from .lattice import _bits, lattice_of
 
 
 class CircuitSet:
@@ -142,26 +141,20 @@ def nbc_basis(arr, order=None, lattice=None):
     the tops of the empty rest, those of the 2-element circuits.
 
     Under another order, the nbc sets are those of the same hyperplanes
-    relabelled, position p holding hyperplane order[p], in index order;
-    a `lattice` handed in is only checked to be L(arr), as the relabelled
-    hyperplanes build their own.
+    relabelled, position p holding hyperplane order[p], in index order.
+    They are read off `lattice_of(arr, lattice).relabelled(order)`, so a
+    `lattice` handed in is read, and no lattice is built and no rank
+    computed for the relabelled hyperplanes; the sets are mapped back
+    through `order`.
     """
     n = len(arr.hyperplanes)
     order = tuple(range(n)) if order is None else tuple(order)
-    if sorted(order) != list(range(n)):
-        raise InvalidParams("order must be a permutation of 0..%d" % (n - 1))
     if order != tuple(range(n)):
-        if lattice is not None:
-            lattice_of(arr, lattice)  # rejects another arrangement's lattice
-        # set after construction, so duplicate hyperplanes stay; no Weyl
-        # layout or kept `_perms` describes the new indices
-        moved = Arrangement(arr.dim, ())
-        moved.hyperplanes = tuple(arr.hyperplanes[h] for h in order)
-        tags = getattr(arr, "tags", None)
-        moved.tags = None if tags is None else tuple(tags[h] for h in order)
+        moved = lattice_of(arr, lattice).relabelled(order)
         return NbcBasis(order, [
             sorted(tuple(sorted(order[p] for p in s)) for s in bucket)
-            for bucket in nbc_basis(moved).sets_by_size])
+            for bucket in nbc_basis(moved.arrangement,
+                                    lattice=moved).sets_by_size])
     rank = arr.rank
     tops_by_rest = {}
     for base, tops in circuits(arr, lattice=lattice).groups:

@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -8,7 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import cmarr.lattice as lattice_mod
 from cmarr.errors import (BadPrime, CmarrError, FlatNotInLattice,
-                          InconsistentCounts, MobiusSignViolation)
+                          InconsistentCounts, InvalidParams,
+                          MobiusSignViolation)
 from cmarr.exactlin import (common_kernel, in_row_span, normalize_covector,
                             rref)
 from cmarr.freeness import inductive_freeness
@@ -867,3 +869,50 @@ def test_wreath_a4_3_golden():
     p = poincare_polynomial(build_lattice(arr))
     assert p.coeffs == (1, 51, 985, 8685, 31774, 24024)
     assert terminalization_count(p, arr.weyl) == 273
+
+
+# ---------------------------------------------------------------------------
+# L(A) relabelled against the plain build of the relabelled hyperplanes
+
+
+def _assert_relabelled_matches_plain(arr, order):
+    """relabelled(order) has the levels of the build of the hyperplanes in
+    that order, and the same pi, chi and bad primes as L(A)."""
+    lat = build_lattice(arr)
+    rel = lat.relabelled(order)
+    moved = rel.arrangement
+    assert moved.hyperplanes == tuple(arr.hyperplanes[h] for h in order)
+    assert moved.tags == (None if arr.tags is None
+                          else tuple(arr.tags[h] for h in order))
+    assert moved.weyl is None and moved.rank == arr.rank
+    plain = build_lattice(Arrangement(arr.dim, moved.hyperplanes))
+    assert _levels(rel) == _levels(plain)
+    assert [set(level) for level in rel.representatives] == [
+        set(level) for level in plain.representatives]
+    assert poincare_polynomial(rel) == poincare_polynomial(lat)
+    assert characteristic_polynomial(rel) == characteristic_polynomial(lat)
+    assert bad_primes(moved, rel) == bad_primes(arr, lat)
+
+
+def test_relabelled_matches_plain(corpus):
+    rng = random.Random(33)
+    for arr in corpus:
+        order = list(range(len(arr.hyperplanes)))
+        rng.shuffle(order)
+        _assert_relabelled_matches_plain(arr, order)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(integer_arrangements(), symmetric_arrangements()),
+       st.randoms(use_true_random=False))
+def test_relabelled_matches_plain_random(arr, rng):
+    order = list(range(len(arr.hyperplanes)))
+    rng.shuffle(order)
+    _assert_relabelled_matches_plain(arr, order)
+
+
+@pytest.mark.parametrize("order", [(0, 0, 1), (0, 1), (1, 2, 3),
+                                   (0, 1, 2, 3)])
+def test_relabelled_rejects_a_non_permutation(order):
+    with pytest.raises(InvalidParams, match="permutation"):
+        build_lattice(CONCURRENT3).relabelled(order)

@@ -8,6 +8,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cmarr.lattice as lattice_mod
+import cmarr.osalg as osalg_mod
 from cmarr.errors import FlatNotInLattice
 from cmarr.lattice import (Arrangement, _bits, build_lattice,
                            whitney_numbers)
@@ -322,10 +324,10 @@ def test_nbc_basis_matches_definition_wreath_a3_2():
 
 
 def test_nbc_basis_reversed_order_ignores_kept_layout_and_lattice():
-    """G8 checked stable keeps its generators' hyperplane permutations, and
-    the lattice handed in is G8's own; under the reversed order neither
-    describes the relabelled hyperplanes, and the nbc sets still match the
-    definition."""
+    """G8 checked stable keeps its generators' hyperplane permutations,
+    which do not describe the relabelled hyperplanes, and the lattice
+    handed in is G8's own, which is read relabelled; under the reversed
+    order the nbc sets still match the definition."""
     arr = gen_G8()
     assert is_stable(arr, arr.weyl)
     assert arr._perms is not None
@@ -336,3 +338,43 @@ def test_nbc_basis_reversed_order_ignores_kept_layout_and_lattice():
     assert basis.sets_by_size == _brute_force_nbc(arr, order)
     with pytest.raises(FlatNotInLattice, match="another arrangement"):
         nbc_basis(arr, order, lattice=build_lattice(gen_G8()))
+
+
+def test_nbc_basis_reversed_order_builds_no_lattice_and_no_rank(monkeypatch):
+    """Under another order, nbc_basis reads the lattice handed in through
+    `relabelled`: no lattice is built and no rank computed."""
+    arr = gen_G8()
+    lat = build_lattice(arr)
+    order = tuple(reversed(range(len(arr.hyperplanes))))
+    expected = _brute_force_nbc(arr, order)
+    calls = []
+
+    def counted(name, real):
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counting
+
+    # each module's binding of either name, where it has one
+    for mod in (lattice_mod, osalg_mod):
+        for name in ("build_lattice", "rank_of"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name,
+                                    counted(name, getattr(mod, name)))
+    assert nbc_basis(arr, order, lattice=lat).sets_by_size == expected
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["G8", "wreath-A3-2"])
+def test_relabelled_lattice_circuits_are_mapped_circuits(name):
+    """The circuits read off L(A) relabelled by `order` are L(A)'s, each
+    index h moved to its position in `order`."""
+    arr = GOLDEN_BASES[name]()
+    lat = build_lattice(arr)
+    n = len(arr.hyperplanes)
+    for order in _orders(n, random.Random(n))[1:] + [tuple(range(n))[::-1]]:
+        rel = lat.relabelled(order)
+        where = [order.index(h) for h in range(n)]
+        assert circuits(rel.arrangement, lattice=rel).circuits == tuple(
+            sorted(tuple(sorted(where[h] for h in c))
+                   for c in circuits(arr, lattice=lat).circuits))

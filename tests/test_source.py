@@ -136,3 +136,48 @@ def test_raises_are_typed():
                     untyped.append("%s:%d %s" % (path.name, node.lineno,
                                                  name))
     assert untyped == []
+
+
+# The constructors of an arrangement: __init__ normalizes and deduplicates
+# its covectors, and _trusted takes covectors that already are.
+CONSTRUCTORS = {"Arrangement.__init__", "Arrangement._trusted"}
+
+
+def _owned_nodes(tree):
+    """Every node of tree with the dotted name of the innermost function or
+    class around it ("" at module level)."""
+    stack = [(tree, "")]
+    while stack:
+        node, owner = stack.pop()
+        yield owner, node
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owner = owner + "." + node.name if owner else node.name
+        stack += [(child, owner) for child in ast.iter_child_nodes(node)]
+
+
+def test_arrangements_come_from_their_constructors():
+    # outside the two constructors no code calls __new__ or sets the
+    # hyperplanes or tags of an arrangement after it is built
+    fields = {"hyperplanes", "tags"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for owner, node in _owned_nodes(tree):
+            if owner in CONSTRUCTORS:
+                continue
+            if isinstance(node, ast.Call):
+                func = node.func
+                bad = (isinstance(func, ast.Attribute)
+                       and func.attr == "__new__") \
+                    or (isinstance(func, ast.Name) and func.id == "setattr"
+                        and len(node.args) > 1
+                        and getattr(node.args[1], "value", None) in fields)
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                bad = any(isinstance(t, ast.Attribute) and t.attr in fields
+                          for target in targets for t in ast.walk(target))
+            else:
+                continue
+            if bad:
+                found.append("%s:%d %s" % (path.name, node.lineno, owner))
+    assert found == []
