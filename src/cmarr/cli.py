@@ -324,7 +324,7 @@ def main(argv=None):
                                         % (flag, least, value))
             try:
                 text = _read_input(args.file)
-            except OSError as e:
+            except (OSError, UnicodeDecodeError) as e:
                 print("error: %s" % e, file=sys.stderr)
                 return PARSE_ERROR_EXIT
             arr, warnings = parse_arrangement_with_warnings(text)

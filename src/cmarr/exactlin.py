@@ -189,13 +189,9 @@ class Subspace:
 
     __slots__ = ("dim_ambient", "basis")
 
-    def __init__(self, dim_ambient, rows, already_canonical=False):
-        from fractions import Fraction
+    def __init__(self, dim_ambient, rows):
         self.dim_ambient = dim_ambient
-        if already_canonical:
-            self.basis = tuple(tuple(Fraction(x) for x in r) for r in rows)
-        else:
-            self.basis = tuple(rref(rows))
+        self.basis = tuple(rref(rows))
         for row in self.basis:
             if len(row) != dim_ambient:
                 raise DimensionMismatch(
@@ -220,7 +216,7 @@ class Subspace:
     def full(cls, dim_ambient):
         rows = [[int(i == j) for j in range(dim_ambient)]
                 for i in range(dim_ambient)]
-        return cls(dim_ambient, rows, already_canonical=True)
+        return cls(dim_ambient, rows)
 
 
 def common_kernel(covectors, dim=None):

@@ -39,15 +39,19 @@ class IntPolynomial:
     def __hash__(self):
         return hash(self.coeffs)
 
+    # polynomials only, so that Python tries the other operand's reflected
+    # operation and raises its own TypeError when there is none
     def __add__(self, other):
-        other = _coerce(other)
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
         a = list(self.coeffs) + [0] * (n - len(self.coeffs))
         b = list(other.coeffs) + [0] * (n - len(other.coeffs))
         return IntPolynomial([x + y for x, y in zip(a, b)])
 
     def __mul__(self, other):
-        other = _coerce(other)
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         if not self.coeffs or not other.coeffs:
             return IntPolynomial([])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -58,14 +62,13 @@ class IntPolynomial:
                 out[i + j] += a * b
         return IntPolynomial(out)
 
-    __rmul__ = __mul__
-    __radd__ = __add__
-
     def __neg__(self):
         return IntPolynomial([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
+        return self + -other
 
     def shift(self, k=1):
         """Multiply by t^k."""
@@ -108,14 +111,6 @@ class IntPolynomial:
         for coeffs in factor_coeff_lists:
             acc = acc * cls(coeffs)
         return acc
-
-
-def _coerce(x):
-    if isinstance(x, IntPolynomial):
-        return x
-    if isinstance(x, int):
-        return IntPolynomial([x])
-    raise TypeError("cannot combine IntPolynomial with %r" % (x,))
 
 
 class ExponentReport(namedtuple("ExponentReport",
@@ -215,5 +210,5 @@ def lagrange_interpolate(points):
     # Horner's rule on the Newton form d_0 + (t - x_0)(d_1 + ...)
     poly = IntPolynomial([])
     for x, d in zip(reversed(xs), reversed(diffs)):
-        poly = poly * IntPolynomial([-x, 1]) + d
+        poly = poly * IntPolynomial([-x, 1]) + IntPolynomial([d])
     return poly

@@ -24,7 +24,7 @@ class Arrangement:
 
     Optional metadata: a label, per-hyperplane 'T'/'F' tags, and a Weyl block
     layout (tuple of symmetric-group sizes m, each acting on a zero-sum block
-    contributing m-1 essential coordinates).  `_perms`, unset until the first
+    contributing m-1 essential coordinates).  `_perms`, None until the first
     `symmetry.generator_permutations` call that finds arr stable, keeps that
     layout and its generators' hyperplane permutations.
     """
@@ -50,19 +50,20 @@ class Arrangement:
             else tuple(tags[i] for i in first.values())
         self.weyl = tuple(weyl) if weyl is not None else None
         self._rank = None
+        self._perms = None
 
     @classmethod
-    def _trusted(cls, dim, hyperplanes, label, tags, weyl, rank=None):
+    def _trusted(cls, dim, hyperplanes, label, tags, weyl):
         """An arrangement holding the tuple `hyperplanes` as it is, for
-        covectors some arrangement already normalized and deduplicated; a
-        `rank` handed in is kept, so no elimination runs for it."""
+        covectors some arrangement already normalized and deduplicated."""
         out = cls.__new__(cls)
         out.dim = dim
         out.hyperplanes = hyperplanes
         out.label = label
         out.tags = tags
         out.weyl = weyl
-        out._rank = rank
+        out._rank = None
+        out._perms = None
         return out
 
     def __len__(self):
@@ -191,9 +192,8 @@ class IntersectionLattice:
         through the permutation, keeps its Mobius number and rank, and each
         level is sorted again as `build_lattice` sorts it.  The relabelled
         arrangement has no label and no Weyl layout, so every flat
-        represents its own orbit, and its rank is read off the levels.  An
-        `order` that is no permutation of the hyperplane indices raises
-        InvalidParams.
+        represents its own orbit.  An `order` that is no permutation of the
+        hyperplane indices raises InvalidParams.
         """
         arr = self.arrangement
         n = len(arr.hyperplanes)
@@ -209,13 +209,10 @@ class IntersectionLattice:
             mu_of = {_image(x, tables): mu for x, mu in zip(level, mus)}
             masks.append(_sorted_level(mu_of, n))
             mobius.append(tuple(mu_of[y] for y in masks[-1]))
-        # getattr: callers may hand in any object with the arrangement's
-        # fields, tags included or not
-        tags = getattr(arr, "tags", None)
         moved = Arrangement._trusted(
             arr.dim, tuple(arr.hyperplanes[h] for h in order), None,
-            None if tags is None else tuple(tags[h] for h in order), None,
-            len(masks) - 1)
+            None if arr.tags is None else tuple(arr.tags[h] for h in order),
+            None)
         return IntersectionLattice(moved, tuple(masks), tuple(mobius),
                                    tuple(masks))
 

@@ -142,22 +142,23 @@ def nbc_basis(arr, order=None, lattice=None):
 
     Under another order, the nbc sets are those of the same hyperplanes
     relabelled, position p holding hyperplane order[p], in index order.
-    They are read off `lattice_of(arr, lattice).relabelled(order)`, so a
-    `lattice` handed in is read, and no lattice is built and no rank
-    computed for the relabelled hyperplanes; the sets are mapped back
-    through `order`.
+    They are read off L(arr) relabelled by `order`, so a `lattice` handed
+    in is read and no lattice is built again; the sets are mapped back
+    through `order`.  The rank is the top level of the lattice, so no
+    elimination runs for it.
     """
     n = len(arr.hyperplanes)
+    lat = lattice_of(arr, lattice)
     order = tuple(range(n)) if order is None else tuple(order)
     if order != tuple(range(n)):
-        moved = lattice_of(arr, lattice).relabelled(order)
+        moved = lat.relabelled(order)
         return NbcBasis(order, [
             sorted(tuple(sorted(order[p] for p in s)) for s in bucket)
             for bucket in nbc_basis(moved.arrangement,
                                     lattice=moved).sets_by_size])
-    rank = arr.rank
+    rank = len(lat.masks) - 1
     tops_by_rest = {}
-    for base, tops in circuits(arr, lattice=lattice).groups:
+    for base, tops in circuits(arr, lattice=lat).groups:
         rest = base & base - 1
         tops_by_rest[rest] = tops_by_rest.get(rest, 0) | tops
     sets_by_size = [[] for _ in range(rank + 1)]

@@ -133,9 +133,8 @@ def generator_permutations(arr, spec):
     time), so later calls for the same layout compute nothing.
     """
     blocks = _check_layout(arr, spec)
-    kept = getattr(arr, "_perms", None)
-    if kept is not None and kept[0] == blocks:
-        return kept[1]
+    if arr._perms is not None and arr._perms[0] == blocks:
+        return arr._perms[1]
     index_of = {c: i for i, c in enumerate(arr.hyperplanes)}
     perms = []
     for g in block_generators(blocks):

@@ -5,12 +5,13 @@ definition: the Mobius numbers by the O(F^2) recursion (Orlik-Terao,
 Arrangements of Hyperplanes, Ch. 2), a localization by the span test on
 its covectors, broken circuits by dropping each circuit's least element
 (Bjorner, "The homology and shellability of matroids and geometric
-lattices", 1992), and the exponents and Coxeter number of a root system by
-the heights of its positive roots (Kostant).  The tests compare the
-library's answers with these.
+lattices", 1992), the exponents and Coxeter number of a root system by
+the heights of its positive roots (Kostant), and the Fuss-Catalan number
+from them.  The tests compare the library's answers with these.
 """
 
 from collections import Counter
+from math import prod
 
 from cmarr.errors import FlatNotInLattice, MobiusSignViolation
 from cmarr.exactlin import echelon, reduce_covector
@@ -83,3 +84,10 @@ def _exponents_and_coxeter_number(label):
     exponents = [sum(1 for count in by_height.values() if count >= i)
                  for i in range(1, rs.rank + 1)]
     return exponents, max(by_height) + 1
+
+
+def _fuss_catalan(label, n):
+    """prod (d_i + (n - 1) h) / d_i over the degrees d_i = m_i + 1."""
+    exponents, h = _exponents_and_coxeter_number(label)
+    degrees = [m + 1 for m in exponents]
+    return prod(d + (n - 1) * h for d in degrees) // prod(degrees)

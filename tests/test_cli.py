@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -265,6 +266,22 @@ def test_analyze_parse_error_exit(capsys, tmp_path):
     assert code == 1 and "error" in err
     code, _, err = run(capsys, ["analyze", str(tmp_path / "missing.arr")])
     assert code == 1
+
+
+def test_analyze_non_utf8_input_exit(capsys, tmp_path, monkeypatch):
+    """A file or stdin that is not UTF-8 text is an input error: one
+    `error:` line and exit 1, as for a file that cannot be read."""
+    data = b"dim 2\nh 1 0\n\x7fELF\xd0\xff\n"
+    path = tmp_path / "binary.arr"
+    path.write_bytes(data)
+    code, out, err = run(capsys, ["analyze", str(path), "--poincare"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    monkeypatch.setattr("sys.stdin",
+                        io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    code, out, err = run(capsys, ["analyze", "-", "--poincare"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_analyze_math_audit_exit(capsys, tmp_path):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import cmarr.freeness as free_mod
+from cmarr.arrfile import emit_arrangement
+from cmarr.cli import main
 from cmarr.errors import (DimensionMismatch, ExponentMismatch,
                           FlatNotInLattice, IndexOutOfRange, InexactDivision,
                           MalformedPolynomial)
@@ -19,7 +21,9 @@ from cmarr.intpoly import (ExponentReport, IntPolynomial, _divide_linear,
                            _vanishes_at_minus_inverse, exponents_from_poincare)
 from cmarr.lattice import (Arrangement, Flat, build_lattice, essentialize,
                            localization_poincare, poincare_polynomial)
-from reference import _exponents_and_coxeter_number, localization
+from conftest import small_corpus
+from reference import (_exponents_and_coxeter_number, _fuss_catalan,
+                       localization)
 
 CONCURRENT3 = Arrangement(2, [(1, 0), (0, 1), (1, 1)])
 
@@ -86,6 +90,31 @@ def test_int_polynomial_equal_objects_hash_equal():
     assert hash(IntPolynomial([5, 0])) == hash(IntPolynomial([5]))
     assert IntPolynomial([5]) != 5
     assert 5 not in {IntPolynomial([5])}
+
+
+def test_int_polynomial_combines_only_with_polynomials():
+    """Arithmetic with a non-polynomial returns NotImplemented, so Python
+    tries the other operand's reflected operation, and raises its own
+    TypeError when there is none."""
+    class Reflecting:
+        def __radd__(self, other):
+            return ("radd", other)
+
+        def __rmul__(self, other):
+            return ("rmul", other)
+
+        def __rsub__(self, other):
+            return ("rsub", other)
+
+    p = IntPolynomial([1, 2])
+    obj = Reflecting()
+    assert p + obj == ("radd", p)
+    assert p * obj == ("rmul", p)
+    assert p - obj == ("rsub", p)
+    for combine in (lambda: p + 1, lambda: 1 + p, lambda: p * 2,
+                    lambda: 2 * p, lambda: p - 1, lambda: 1 - p):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            combine()
 
 
 @st.composite
@@ -636,6 +665,25 @@ def _catalan_cone_exponents(label, n):
     what gen_wreath builds for n <= 3."""
     exponents, h = _exponents_and_coxeter_number(label)
     return tuple(sorted([1] + [m + (n - 1) * h for m in exponents]))
+
+
+@pytest.mark.parametrize("label", [arr.label for arr in small_corpus()
+                                   if arr.label.startswith("wreath-A")])
+def test_type_a_wreath_exponents_and_e_count(label, corpus, tmp_path,
+                                             capsys):
+    """Each type-A wreath of the corpus (A1-A3, n = 2 and 3) is found free
+    with the exponents (1, m_i + (n - 1) h), and `cmarr analyze --e-count`
+    on its emitted file prints the Fuss-Catalan number."""
+    arr = next(a for a in corpus if a.label == label)
+    _, root, n = label.split("-")
+    verdict = inductive_freeness(arr)
+    assert verdict.status == "InductivelyFree"
+    assert verdict.exponents == _catalan_cone_exponents(root, int(n))
+    path = tmp_path / "wreath.arr"
+    path.write_text(emit_arrangement(arr))
+    assert main(["analyze", str(path), "--e-count"]) == 0
+    assert "e-count: %d\n" % _fuss_catalan(root, int(n)) \
+        in capsys.readouterr().out
 
 
 def test_wreath_a4_3_verdict_golden():

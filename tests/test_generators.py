@@ -1,5 +1,3 @@
-from math import prod
-
 import pytest
 
 import cmarr.generators as gen_mod
@@ -13,7 +11,7 @@ from cmarr.intpoly import IntPolynomial
 from cmarr.lattice import build_lattice, poincare_polynomial
 from cmarr.exactlin import rank_of
 from cmarr.symmetry import terminalization_count
-from reference import _exponents_and_coxeter_number
+from reference import _exponents_and_coxeter_number, _fuss_catalan
 
 
 def poincare(arr):
@@ -132,13 +130,6 @@ def test_wreath_d_type():
     assert len(w) == 1 + 12 + 24
     assert w.dim == 5 and rank_of(w.hyperplanes) == 5
     assert w.tags.count("T") == 13
-
-
-def _fuss_catalan(label, n):
-    """prod (d_i + (n - 1) h) / d_i over the degrees d_i = m_i + 1."""
-    exponents, h = _exponents_and_coxeter_number(label)
-    degrees = [m + 1 for m in exponents]
-    return prod(d + (n - 1) * h for d in degrees) // prod(degrees)
 
 
 def test_fuss_catalan_examples():

@@ -916,3 +916,16 @@ def test_relabelled_matches_plain_random(arr, rng):
 def test_relabelled_rejects_a_non_permutation(order):
     with pytest.raises(InvalidParams, match="permutation"):
         build_lattice(CONCURRENT3).relabelled(order)
+
+
+def test_both_constructors_set_every_slot():
+    """Arrangement(...) and Arrangement._trusted(...) leave no slot unset,
+    so every field, the kept permutations included, is read directly."""
+    built = Arrangement(2, [(1, 0), (0, 1), (2, 2)], label="x",
+                        tags=["T", "F", "T"], weyl=(3,))
+    trusted = Arrangement._trusted(2, built.hyperplanes, "x", built.tags,
+                                   (3,))
+    for arr in (built, trusted):
+        values = {name: getattr(arr, name) for name in Arrangement.__slots__}
+        assert values["_rank"] is None and values["_perms"] is None
+        assert values["hyperplanes"] == ((1, 0), (0, 1), (1, 1))

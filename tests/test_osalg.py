@@ -171,7 +171,7 @@ def _with_parallel_copy(arr, i, f):
     """arr plus f times its covector i, kept as a separate hyperplane (an
     `Arrangement` would deduplicate it), so that {i, n} is a circuit."""
     covs = arr.hyperplanes
-    return SimpleNamespace(dim=arr.dim, rank=arr.rank, weyl=None,
+    return SimpleNamespace(dim=arr.dim, rank=arr.rank, weyl=None, tags=None,
                            hyperplanes=covs + (tuple(f * x for x in covs[i]),))
 
 

@@ -108,11 +108,11 @@ def test_public_functions_are_read():
     assert unread == []
 
 
-# Raises of a name outside errors.py, each with its reason: the operator
-# protocol needs TypeError so that Python tries the reflected operation, and
-# _StrictUnknown is control flow that cli.main catches.
-UNTYPED_RAISES = {("intpoly.py", "_coerce", "TypeError"),
-                  ("cli.py", "run_analyze", "_StrictUnknown")}
+# Raises of a name outside errors.py, each with its reason: _StrictUnknown
+# is control flow that cli.main catches.  An operator given an operand it
+# does not take returns NotImplemented instead of raising, so that Python
+# tries the reflected operation.
+UNTYPED_RAISES = {("cli.py", "run_analyze", "_StrictUnknown")}
 
 
 def test_raises_are_typed():
