@@ -14,6 +14,9 @@ Files written by emit_arrangement are in essential coordinates (canonical
 form); parse o emit is the identity on canonical files.
 """
 
+import re
+import sys
+
 from .errors import EmptyBody, InvalidParams, ParseError, ZeroCovector
 from .exactlin import project_zero_sum
 from .lattice import Arrangement
@@ -24,12 +27,22 @@ def _parse_entry(token):
     `int` accepts the token.  `int` accepts a subset of what `Fraction`
     accepts, with equal values, so `fractions` is imported only for an
     entry written a/b or as a decimal.  Raises ValueError or
-    ZeroDivisionError as `Fraction` does."""
+    ZeroDivisionError as `Fraction` does, and InvalidParams (a ValueError)
+    for a decimal exponent larger in magnitude than
+    `sys.get_int_max_str_digits()`, before `Fraction` builds the value:
+    `int` rejects the same number written out in full.  A limit of 0 means
+    no limit, as it does for `int`."""
     try:
         return int(token)
     except ValueError:
-        from fractions import Fraction
-        return Fraction(token)
+        pass
+    exponent = re.search(r"[eE]([-+]?\d+(_\d+)*)\Z", token)
+    # int has no digit limit before Python 3.10.7, as with a limit of 0
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if exponent and limit and abs(int(exponent[1])) > limit:
+        raise InvalidParams("exponent beyond the %d-digit limit" % limit)
+    from fractions import Fraction
+    return Fraction(token)
 
 
 def parse_weyl_token(token):
@@ -70,7 +83,10 @@ def parse_arrangement_with_warnings(text):
                 raise ParseError("duplicate dim directive", lineno)
             if len(fields) != 2 or not fields[1].isdecimal():
                 raise ParseError("dim needs one integer argument", lineno)
-            dim = int(fields[1])
+            try:
+                dim = int(fields[1])
+            except ValueError as e:  # more digits than int reads
+                raise ParseError(str(e), lineno)
         elif head == "label":
             if len(fields) != 2:
                 raise ParseError("label needs one argument", lineno)

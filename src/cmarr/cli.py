@@ -6,11 +6,9 @@ import sys
 
 from .arrfile import (emit_arrangement, parse_arrangement_with_warnings,
                       parse_weyl_token)
-from .errors import (BadPrime, CmarrError, DimensionMismatch, EmptyBody,
-                     InconsistentCounts, IndexOutOfRange, InvalidN,
-                     InvalidOrder, InvalidParams, LayoutMismatch, NonIntegral,
-                     NotStable, ParseError, UnknownGenerator, UnsupportedType,
-                     ZeroCovector)
+from .errors import (CmarrError, InconsistentCounts, InputError,
+                     InvalidParams, LayoutMismatch, ParseError, StrictUnknown,
+                     UnknownGenerator)
 from .intpoly import exponents_from_poincare
 # _interpolate_counts, complement_count and _counts_parallel go unused, but
 # bench/trace_job.WRAPS and test_bench_contract name them (ROADMAP
@@ -22,15 +20,6 @@ from .symmetry import (contains_subarrangement, gen_coxeter_namikawa,
                        hyperplane_orbits, is_stable, terminalization_count)
 
 SCHEMA_VERSION = 1
-
-PARSE_ERROR_EXIT = 1
-MATH_AUDIT_EXIT = 2
-STRICT_UNKNOWN_EXIT = 3
-INTERNAL_ERROR_EXIT = 4  # any other CmarrError: an internal check failed
-
-
-class _StrictUnknown(Exception):
-    pass
 
 
 # osalg and freeness load on the first call of one of these: most jobs
@@ -79,16 +68,23 @@ def run_generate(name, args):
 
 
 def _read_input(path):
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r") as fh:
-        return fh.read()
+    """The text of the file at path, or of stdin for "-", decoded as strict
+    UTF-8 either way; raises ParseError when it cannot be read or decoded."""
+    try:
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        return data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(str(e))
 
 
 def run_analyze(arr, args):
     """Execute the requested pipeline stages; returns the report dict.
 
-    Raises library errors for math-audit signals and _StrictUnknown when
+    Raises library errors for math-audit signals and StrictUnknown when
     --strict meets an Unknown freeness verdict, whatever its reason.
     """
     report = {
@@ -131,7 +127,7 @@ def run_analyze(arr, args):
                                      lattice=lattice())
         report["freeness"] = verdict.to_dict()
         if args.strict and verdict.status == "Unknown":
-            raise _StrictUnknown()
+            raise StrictUnknown("freeness verdict Unknown under --strict")
     if args.stability or args.orbits or args.e_count:
         if arr.weyl is None:
             raise LayoutMismatch(
@@ -308,8 +304,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on a usage error after printing the usage line;
-        # 2 is this command's "mathematical audit failed"
-        return PARSE_ERROR_EXIT if e.code else 0
+        # 2 is this command's "mathematical audit failed", so a usage error
+        # takes the code of bad input
+        return InputError.exit_code if e.code else 0
     try:
         if args.command == "gen":
             arr = run_generate(args.name, args)
@@ -322,20 +319,11 @@ def main(argv=None):
                 if value is not None and value < least:
                     raise InvalidParams("%s must be at least %d, got %d"
                                         % (flag, least, value))
-            try:
-                text = _read_input(args.file)
-            except (OSError, UnicodeDecodeError) as e:
-                print("error: %s" % e, file=sys.stderr)
-                return PARSE_ERROR_EXIT
-            arr, warnings = parse_arrangement_with_warnings(text)
+            arr, warnings = parse_arrangement_with_warnings(
+                _read_input(args.file))
             for w in warnings:
                 print("warning: %s" % w, file=sys.stderr)
-            try:
-                report = run_analyze(arr, args)
-            except _StrictUnknown:
-                print("error: freeness verdict Unknown under --strict",
-                      file=sys.stderr)
-                return STRICT_UNKNOWN_EXIT
+            report = run_analyze(arr, args)
             if args.json:
                 sys.stdout.write(json.dumps(report, indent=2,
                                             sort_keys=True) + "\n")
@@ -350,19 +338,13 @@ def main(argv=None):
             else:
                 sys.stdout.write(render_audit(report))
             return 0
-    except (ParseError, EmptyBody, UnknownGenerator, InvalidParams,
-            InvalidOrder, InvalidN, UnsupportedType, ZeroCovector,
-            DimensionMismatch, IndexOutOfRange) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return PARSE_ERROR_EXIT
-    except (NonIntegral, NotStable, LayoutMismatch, InconsistentCounts,
-            BadPrime) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return MATH_AUDIT_EXIT
     except CmarrError as e:
-        print("error: internal check failed: %s: %s"
-              % (type(e).__name__, e), file=sys.stderr)
-        return INTERNAL_ERROR_EXIT
+        if e.exit_code == CmarrError.exit_code:  # name the failed check
+            print("error: internal check failed: %s: %s"
+                  % (type(e).__name__, e), file=sys.stderr)
+        else:
+            print("error: %s" % e, file=sys.stderr)
+        return e.exit_code
     return 0
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -78,6 +79,15 @@ _ENTRY_TOKENS = st.one_of(
 
 
 def _fraction_or_error(token):
+    """Fraction(token), or the type of the error it raises; InvalidParams
+    for an exponent beyond int's digit limit, which Fraction would build."""
+    exponent = re.search(r"[eE]([^eE]*)\Z", token)
+    try:
+        if exponent and abs(int(exponent.group(1))) \
+                > sys.get_int_max_str_digits() > 0:
+            return InvalidParams
+    except ValueError:
+        pass
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as e:
@@ -110,6 +120,34 @@ def test_file_entries_read_as_fractions(token):
     else:
         assert parse_arrangement(text).hyperplanes == \
             Arrangement(2, [(Fraction(1), value)]).hyperplanes
+
+
+def test_entry_exponent_beyond_int_digit_limit(tmp_path):
+    """An entry whose exponent is larger in magnitude than int's digit
+    limit is a bad entry, rejected before Fraction builds 10^exponent,
+    which for 1e999999999 would not finish within the timeout."""
+    path = tmp_path / "big.arr"
+    path.write_text("dim 2\nh 1e999999999 0\nh 0 1\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmarr.cli", "analyze", str(path),
+         "--poincare"], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (1, "", "error: line 2: bad covector entry\n")
+    limit = sys.get_int_max_str_digits()
+    assert parse_arrangement("dim 2\nh 1e%d 1\n" % limit).hyperplanes \
+        == ((10 ** limit, 1),)
+    with pytest.raises(ParseError, match="line 2: bad covector entry"):
+        parse_arrangement("dim 2\nh 1e-%d 1\n" % (limit + 1))
+    with pytest.raises(InvalidParams):
+        _parse_entry("-2.5E+%d" % (limit + 1))
+    # a limit of 0 is no limit, as for int
+    sys.set_int_max_str_digits(0)
+    try:
+        assert _parse_entry("1e%d" % (limit + 1)) == 10 ** (limit + 1)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 _RATIONAL_FILE = """label rational
@@ -175,6 +213,18 @@ def test_non_decimal_digits_are_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, ["analyze", str(path), "--poincare"])
     assert (code, err) == (1, "error: line 1: dim needs one integer "
                               "argument\n")
+
+
+def test_dim_beyond_int_digit_limit(capsys, tmp_path):
+    """A dim of more digits than int reads is a parse error, not a
+    traceback."""
+    path = tmp_path / "dim.arr"
+    path.write_text("dim %s\nh 1 0\n" % ("1" * (sys.get_int_max_str_digits()
+                                                 + 1)))
+    code, out, err = run(capsys, ["analyze", str(path), "--poincare"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 1: Exceeds the limit") \
+        and err.count("\n") == 1
 
 
 def test_roundtrip_shipped_files():
@@ -277,11 +327,28 @@ def test_analyze_non_utf8_input_exit(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, ["analyze", str(path), "--poincare"])
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
-    monkeypatch.setattr("sys.stdin",
-                        io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
-    code, out, err = run(capsys, ["analyze", "-", "--poincare"])
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "codec can't decode" in err
+    # stdin is read as bytes, so its own error handler does not matter
+    for handler in ("strict", "surrogateescape"):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8", errors=handler))
+        assert run(capsys, ["analyze", "-", "--poincare"]) == (1, "", err)
+
+
+def test_analyze_reads_cr_and_crlf_line_ends(capsys, tmp_path):
+    """Input is read as bytes, with no newline translation: a line may
+    still end in \\r\\n or \\r, and the line numbers stay the same."""
+    text = "label ends # comment\ndim 2\nh 1 0\nh 0 1\nh 1 1\n"
+    results = []
+    for end in ("\n", "\r\n", "\r"):
+        path = tmp_path / "ends.arr"
+        path.write_bytes(text.replace("\n", end).encode())
+        results.append(run(capsys, ["analyze", str(path), "--poincare"]))
+        path.write_bytes(("dim 2" + end + "h 1 x" + end).encode())
+        results.append(run(capsys, ["analyze", str(path), "--poincare"]))
+    assert results[0][0] == 0 and "label: ends" in results[0][1]
+    assert results[1] == (1, "", "error: line 2: bad covector entry\n")
+    assert results[2:4] == results[:2] and results[4:] == results[:2]
 
 
 def test_analyze_math_audit_exit(capsys, tmp_path):
@@ -326,12 +393,30 @@ def test_analyze_zero_projected_covector_exit(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("error, exit_code", [
-    (errors.ZeroCovector, 1), (errors.DimensionMismatch, 1),
-    (errors.IndexOutOfRange, 1), (errors.MalformedPolynomial, 4),
+# every CmarrError class in errors.py with the exit code `cmarr` gives it
+EXIT_CODES = [
+    (errors.InputError, 1), (errors.ParseError, 1), (errors.EmptyBody, 1),
+    (errors.UnknownGenerator, 1), (errors.InvalidParams, 1),
+    (errors.InvalidOrder, 1), (errors.InvalidN, 1),
+    (errors.UnsupportedType, 1), (errors.ZeroCovector, 1),
+    (errors.DimensionMismatch, 1), (errors.IndexOutOfRange, 1),
+    (errors.AuditFailure, 2), (errors.NonIntegral, 2), (errors.NotStable, 2),
+    (errors.LayoutMismatch, 2), (errors.InconsistentCounts, 2),
+    (errors.BadPrime, 2), (errors.StrictUnknown, 3), (errors.CmarrError, 4),
+    (errors.MalformedPolynomial, 4), (errors.UnknownName, 4),
     (errors.FlatNotInLattice, 4), (errors.MobiusSignViolation, 4),
     (errors.InexactDivision, 4), (errors.ExponentMismatch, 4),
-    (errors.GeneratorInvariant, 4)])
+    (errors.GeneratorInvariant, 4)]
+
+
+def test_every_error_has_an_exit_code():
+    defined = {value for value in vars(errors).values()
+               if isinstance(value, type)
+               and issubclass(value, errors.CmarrError)}
+    assert {error for error, _ in EXIT_CODES} == defined
+
+
+@pytest.mark.parametrize("error, exit_code", EXIT_CODES)
 def test_library_errors_map_to_exit_codes(capsys, tmp_path, monkeypatch,
                                           error, exit_code):
     def failing(arr):
@@ -342,7 +427,11 @@ def test_library_errors_map_to_exit_codes(capsys, tmp_path, monkeypatch,
     path.write_text("dim 2\nh 1 0\nh 0 1\n")
     code, out, err = run(capsys, ["analyze", str(path), "--poincare"])
     assert code == exit_code and out == ""
-    assert err.startswith("error: ") and "injected" in err
+    if exit_code == 4:
+        assert err == "error: internal check failed: %s: injected\n" \
+            % error.__name__
+    else:
+        assert err == "error: injected\n"
 
 
 def test_analyze_poincare_free_builds_root_lattice_once(capsys, tmp_path,

@@ -108,13 +108,6 @@ def test_public_functions_are_read():
     assert unread == []
 
 
-# Raises of a name outside errors.py, each with its reason: _StrictUnknown
-# is control flow that cli.main catches.  An operator given an operand it
-# does not take returns NotImplemented instead of raising, so that Python
-# tries the reflected operation.
-UNTYPED_RAISES = {("cli.py", "run_analyze", "_StrictUnknown")}
-
-
 def test_raises_are_typed():
     # every error the library raises on purpose is a CmarrError subclass
     # from errors.py, so callers can tell library signals from bugs
@@ -124,17 +117,14 @@ def test_raises_are_typed():
     untyped = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for top in tree.body:
-            for node in ast.walk(top):
-                if not isinstance(node, ast.Raise) or node.exc is None:
-                    continue
-                exc = node.exc.func if isinstance(node.exc, ast.Call) \
-                    else node.exc
-                name = getattr(exc, "id", None) or getattr(exc, "attr", None)
-                key = (path.name, getattr(top, "name", None), name)
-                if name not in typed and key not in UNTYPED_RAISES:
-                    untyped.append("%s:%d %s" % (path.name, node.lineno,
-                                                 name))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                else node.exc
+            name = getattr(exc, "id", None) or getattr(exc, "attr", None)
+            if name not in typed:
+                untyped.append("%s:%d %s" % (path.name, node.lineno, name))
     assert untyped == []
 
 
