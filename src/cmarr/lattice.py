@@ -189,7 +189,8 @@ class IntersectionLattice:
         order[p].
 
         A relabelling is a lattice isomorphism: each flat's mask is mapped
-        through the permutation, keeps its Mobius number and rank, and each
+        through the `_mask_map` of the permutation sending each hyperplane
+        to its position, keeps its Mobius number and rank, and each
         level is sorted again as `build_lattice` sorts it.  The relabelled
         arrangement has no label and no Weyl layout, so every flat
         represents its own orbit.  An `order` that is no permutation of the
@@ -203,10 +204,10 @@ class IntersectionLattice:
                                 % (n - 1))
         # where[h] is the position of hyperplane h
         where = sorted(range(n), key=order.__getitem__)
-        tables = _mask_tables([where])[0]
+        image = _mask_map(where)
         masks, mobius = [], []
         for level, mus in zip(self.masks, self.mobius):
-            mu_of = {_image(x, tables): mu for x, mu in zip(level, mus)}
+            mu_of = {image(x): mu for x, mu in zip(level, mus)}
             masks.append(_sorted_level(mu_of, n))
             mobius.append(tuple(mu_of[y] for y in masks[-1]))
         moved = Arrangement._trusted(
@@ -248,8 +249,8 @@ def flat_children(covs, x, rows, done):
     return children
 
 
-def _generator_tables(arr):
-    """`_mask_tables` of the block generators of arr.weyl, by which they
+def _generator_maps(arr):
+    """The `_mask_map`s of the block generators of arr.weyl, by which they
     permute the flats; an empty list without a layout that fits arr.dim and
     leaves arr stable."""
     if arr.weyl is None:
@@ -260,46 +261,41 @@ def _generator_tables(arr):
         perms = generator_permutations(arr, arr.weyl)
     except (LayoutMismatch, NotStable):
         return []
-    return _mask_tables(perms)
+    return [_mask_map(perm) for perm in perms]
 
 
-def _mask_tables(perms):
-    """Per-permutation byte tables of the mask maps that the index
-    permutations `perms` induce.
+def _mask_map(perm):
+    """The map sending mask y to its image under the index permutation
+    perm, the mask of the bits perm[i] for the bits i of y.
 
     tables[k][b] is the image of the mask b << 8k, so a mask's image is the
     union of one lookup per byte.
     """
-    gens = []
-    for perm in perms:
-        tables = []
-        for base in range(0, len(perm), 8):
-            # the masks holding the byte's next bit are the masks before
-            # it, each with that bit's image added
-            table = [0]
-            for i in perm[base:base + 8]:
-                table += [t | 1 << i for t in table]
-            tables.append(table)
-        gens.append(tables)
-    return gens
+    tables = []
+    for base in range(0, len(perm), 8):
+        # the masks holding the byte's next bit are the masks before it,
+        # each with that bit's image added
+        table = [0]
+        for i in perm[base:base + 8]:
+            table += [t | 1 << i for t in table]
+        tables.append(table)
+
+    def image(y):
+        w = 0
+        for table in tables:
+            w |= table[y & 255]
+            y >>= 8
+        return w
+    return image
 
 
-def _image(y, tables):
-    """The image of mask y under one permutation's `_mask_tables`."""
-    w = 0
-    for table in tables:
-        w |= table[y & 255]
-        y >>= 8
-    return w
-
-
-def _orbit(y, gens):
-    """The masks of y's orbit under the generator tables, y first."""
+def _orbit(y, maps):
+    """The orbit of y under the maps, y first."""
     orbit = [y]
     seen = {y}
     for z in orbit:
-        for tables in gens:
-            w = _image(z, tables)
+        for g in maps:
+            w = g(z)
             if w not in seen:
                 seen.add(w)
                 orbit.append(w)
@@ -319,10 +315,10 @@ def build_lattice(arr):
     of flats under the group W they generate: only an orbit's representative
     carries its span as integer echelon rows (see `exactlin.reduce_covector`)
     and has its children found by `flat_children`.  A child outside every
-    known orbit starts a new one, closed under the generators as mask
-    images.  Every flat of the next level covers some g x with x a
-    representative, so lies in the orbit of a child of x.  Without a stable
-    layout W is trivial and every flat is its own orbit.
+    known orbit starts a new one, closed by `_orbit` under the generators'
+    `_mask_map`s (`_generator_maps`).  Every flat of the next level covers
+    some g x with x a representative, so lies in the orbit of a child of x.
+    Without a stable layout W is trivial and every flat is its own orbit.
 
     Each flat is reduced into existence once.  A known mask y of the next
     level with x & ~y == 0 is a cover of the representative x, and holds
@@ -342,7 +338,7 @@ def build_lattice(arr):
     by their sorted hyperplane indices.
     """
     covs = arr.hyperplanes
-    gens = _generator_tables(arr)
+    gens = _generator_maps(arr)
     masks, mobius = [(0,)], [(1,)]
     reps = [(0, (), 1, 1)]  # (mask, echelon rows, orbit size, mu)
     rep_masks = [(0,)]

@@ -14,7 +14,7 @@ from math import factorial
 from .errors import InvalidParams, LayoutMismatch, NonIntegral, NotStable
 from .exactlin import project_zero_sum
 from .intpoly import exponents_from_poincare
-from .lattice import Arrangement, _bits, _mask_tables, _orbit
+from .lattice import Arrangement, _orbit
 
 
 class BlockPermutation:
@@ -163,27 +163,31 @@ def is_stable(arr, spec):
 def hyperplane_orbits(arr, spec):
     """Orbit partition of hyperplane indices under the generated group.
 
-    The orbit of hyperplane i is read off the orbit of the mask 1 << i under
-    the generators' mask maps, the closure the lattice build runs on flats;
-    its masks are single bits, so their sum is their union.  Each orbit is
-    closed once, from its least index, so the orbits come out sorted.
+    The orbit of hyperplane i is closed by `_orbit`, the closure the lattice
+    build runs on flat masks, here on indices under the generators' index
+    permutations, so no mask map is built.  Each orbit is closed once, from
+    its least index, and sorted, so the orbits come out sorted.
     """
-    tables = _mask_tables(generator_permutations(arr, spec))
-    orbits = []
-    placed = 0
+    maps = [p.__getitem__ for p in generator_permutations(arr, spec)]
+    orbits, placed = [], set()
     for i in range(len(arr.hyperplanes)):
-        if not placed >> i & 1:
-            orbit = sum(_orbit(1 << i, tables))
-            placed |= orbit
-            orbits.append(tuple(_bits(orbit)))
+        if i not in placed:
+            orbits.append(tuple(sorted(_orbit(i, maps))))
+            placed.update(orbits[-1])
     return tuple(orbits)
 
 
 def gen_coxeter_namikawa(spec):
-    """All hyperplanes kappa_{b,i} = kappa_{b,j} per block, essentialized."""
+    """All hyperplanes kappa_{b,i} = kappa_{b,j} per block, essentialized.
+
+    A layout with no block of size >= 2 has no such hyperplane, and raises
+    InvalidParams: an arrangement file needs a hyperplane line.
+    """
     blocks = tuple(int(b) for b in spec)
     if not blocks or any(b < 1 for b in blocks):
         raise InvalidParams("weyl spec must be nonempty with sizes >= 1")
+    if max(blocks) < 2:
+        raise InvalidParams("weyl spec needs a block of size >= 2")
     dim = sum(b - 1 for b in blocks)
     covs = []
     pos = 0

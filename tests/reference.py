@@ -7,16 +7,21 @@ its covectors, broken circuits by dropping each circuit's least element
 (Bjorner, "The homology and shellability of matroids and geometric
 lattices", 1992), the exponents and Coxeter number of a root system by
 the heights of its positive roots (Kostant), and the Fuss-Catalan number
-from them.  The tests compare the library's answers with these.
+from them.  The tests compare the library's answers with these.  The
+hypothesis strategy `symmetric_arrangements` draws the W-stable inputs
+that more than one test module runs them on.
 """
 
 from collections import Counter
 from math import prod
 
+from hypothesis import assume, strategies as st
+
 from cmarr.errors import FlatNotInLattice, MobiusSignViolation
-from cmarr.exactlin import echelon, reduce_covector
+from cmarr.exactlin import echelon, normalize_covector, reduce_covector
 from cmarr.generators import root_system
 from cmarr.lattice import Arrangement
+from cmarr.symmetry import block_generators
 
 
 def mobius_by_rank(levels):
@@ -91,3 +96,25 @@ def _fuss_catalan(label, n):
     exponents, h = _exponents_and_coxeter_number(label)
     degrees = [m + 1 for m in exponents]
     return prod(d + (n - 1) * h for d in degrees) // prod(degrees)
+
+
+@st.composite
+def symmetric_arrangements(draw):
+    """Integer covectors closed under the block generators of a random
+    Weyl layout of dimension 1 to 4, in a random hyperplane order."""
+    blocks = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)
+                  .filter(lambda b: 1 <= sum(m - 1 for m in b) <= 4))
+    d = sum(m - 1 for m in blocks)
+    gens = block_generators(blocks)
+    entry = st.one_of(st.just(0), st.integers(-2, 2))
+    seeds = draw(st.lists(st.lists(entry, min_size=d, max_size=d)
+                          .filter(any), min_size=1, max_size=2))
+    covs = {normalize_covector(c) for c in seeds}
+    frontier = list(covs)
+    while frontier:
+        new = [g.apply_covector(c) for c in frontier for g in gens]
+        frontier = [c for c in set(new) if c not in covs]
+        covs.update(frontier)
+    assume(len(covs) <= 30)
+    order = draw(st.permutations(sorted(covs)))
+    return Arrangement(d, order, weyl=blocks)

@@ -21,7 +21,8 @@ from cmarr.errors import (EmptyBody, InvalidParams, LayoutMismatch,
 from cmarr.exactlin import project_zero_sum
 from cmarr.generators import gen_G8, gen_wreath
 from cmarr.lattice import Arrangement
-from cmarr.symmetry import generator_permutations, hyperplane_orbits, is_stable
+from cmarr.symmetry import (block_generators, generator_permutations,
+                            hyperplane_orbits, is_stable)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -489,6 +490,59 @@ def test_poincare_big_job_permutes_hyperplanes_once(capsys, tmp_path,
     with pytest.raises(NotStable):
         generator_permutations(arr, (5,))
     assert calls == [(2, 4), (5,)]
+
+
+def test_orbits_build_no_mask_map(capsys, tmp_path, monkeypatch):
+    """The lattice build maps masks, one map per block generator;
+    --orbits closes hyperplane indices and maps no mask."""
+    import cmarr.lattice as lattice_mod
+    real_map = lattice_mod._mask_map
+    real_build = cli_mod.build_lattice
+    calls = []
+    building = []
+
+    def counting(perm):
+        calls.append(bool(building))
+        return real_map(perm)
+
+    def marking(arr):
+        building.append(arr)
+        try:
+            return real_build(arr)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(lattice_mod, "_mask_map", counting)
+    monkeypatch.setattr(cli_mod, "build_lattice", marking)
+    arr = gen_wreath("A3", 4, 2)
+    path = tmp_path / "wreath.arr"
+    path.write_text(emit_arrangement(arr))
+    code, out, _ = run(capsys, ["analyze", str(path), "--poincare",
+                                "--orbits"])
+    assert code == 0 and "orbit: 0\n" in out
+    assert calls == [True] * len(block_generators(arr.weyl))
+    calls.clear()
+    code, out, _ = run(capsys, ["analyze", str(path), "--orbits"])
+    assert code == 0 and "orbit: 0\n" in out
+    assert calls == []
+
+
+def test_gen_coxeter_rejects_a_layout_with_no_root_line(capsys, tmp_path):
+    """A layout of blocks of size 1 has no root hyperplane, so gen would
+    emit a file with no hyperplane line, which analyze rejects."""
+    for weyl in ("S1", "S1xS1"):
+        code, out, err = run(capsys, ["gen", "coxeter", "--weyl", weyl])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, _ = run(capsys, ["gen", "coxeter", "--weyl", "S1xS3"])
+    assert code == 0
+    assert len([ln for ln in out.splitlines() if ln.startswith("h ")]) == 3
+    path = tmp_path / "s1xs3.arr"
+    path.write_text(out)
+    code, out, _ = run(capsys, ["analyze", str(path), "--poincare",
+                                "--stability"])
+    assert code == 0
+    assert "poincare: 2t^2 + 3t + 1" in out and "stability: stable" in out
 
 
 def test_unstable_layout_stability_and_orbits(capsys, tmp_path):

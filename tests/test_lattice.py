@@ -5,28 +5,26 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import cmarr.lattice as lattice_mod
 from cmarr.errors import (BadPrime, CmarrError, FlatNotInLattice,
                           InconsistentCounts, InvalidParams,
                           MobiusSignViolation)
-from cmarr.exactlin import (common_kernel, in_row_span, normalize_covector,
-                            rref)
+from cmarr.exactlin import common_kernel, in_row_span, rref
 from cmarr.freeness import inductive_freeness
 from cmarr.generators import (gen_G4, gen_G8, gen_coxeter_namikawa,
                               gen_cyclic, gen_dihedral_even, gen_wreath)
 from cmarr.intpoly import IntPolynomial, lagrange_interpolate
-from cmarr.lattice import (Arrangement, _bits, _mask_tables, _prime_factors,
+from cmarr.lattice import (Arrangement, _bits, _mask_map, _prime_factors,
                            admissible_primes, bad_primes,
                            build_lattice, char_poly_finite_field,
                            characteristic_polynomial, complement_count,
                            essentialize, poincare_polynomial,
                            whitney_numbers)
 from cmarr.osalg import nbc_basis
-from cmarr.symmetry import (block_generators, is_stable,
-                            terminalization_count)
-from reference import mobius_by_rank
+from cmarr.symmetry import is_stable, terminalization_count
+from reference import mobius_by_rank, symmetric_arrangements
 
 BOOLEAN2 = Arrangement(2, [(1, 0), (0, 1)])
 CONCURRENT3 = Arrangement(2, [(1, 0), (0, 1), (1, 1)])
@@ -683,28 +681,6 @@ def integer_arrangements(draw):
     return Arrangement(d, draw(st.lists(vec, max_size=9)))
 
 
-@st.composite
-def symmetric_arrangements(draw):
-    """Integer covectors closed under the block generators of a random
-    Weyl layout of dimension 1 to 4, in a random hyperplane order."""
-    blocks = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)
-                  .filter(lambda b: 1 <= sum(m - 1 for m in b) <= 4))
-    d = sum(m - 1 for m in blocks)
-    gens = block_generators(blocks)
-    entry = st.one_of(st.just(0), st.integers(-2, 2))
-    seeds = draw(st.lists(st.lists(entry, min_size=d, max_size=d)
-                          .filter(any), min_size=1, max_size=2))
-    covs = {normalize_covector(c) for c in seeds}
-    frontier = list(covs)
-    while frontier:
-        new = [g.apply_covector(c) for c in frontier for g in gens]
-        frontier = [c for c in set(new) if c not in covs]
-        covs.update(frontier)
-    assume(len(covs) <= 30)
-    order = draw(st.permutations(sorted(covs)))
-    return Arrangement(d, order, weyl=blocks)
-
-
 @settings(deadline=None, max_examples=100)
 @given(st.one_of(integer_arrangements(), symmetric_arrangements()))
 def test_weisner_mobius_matches_reference_random(arr):
@@ -768,15 +744,16 @@ def test_bad_primes_on_orbits_match_basis_scan(arr):
 @settings(deadline=None, max_examples=40)
 @given(st.integers(1, 30).flatmap(
     lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)))
-def test_mask_tables_map_each_byte_by_definition(perms):
-    """tables[k][b] is the image of the mask b << 8k: the union of
-    1 << perm[i] over its bits i.  Lengths 1..30 end in a partial byte."""
-    for perm, tables in zip(perms, _mask_tables(perms)):
-        assert len(tables) == (len(perm) + 7) // 8
-        for k, table in enumerate(tables):
-            assert len(table) == 1 << min(8, len(perm) - 8 * k)
-            for b, image in enumerate(table):
-                assert image == sum(1 << perm[i] for i in _bits(b << 8 * k))
+def test_mask_map_maps_each_byte_by_definition(perms):
+    """The image of the mask b << 8k is the union of 1 << perm[i] over its
+    bits i, for every byte b in range.  Lengths 1..30 end in a partial
+    byte."""
+    for perm in perms:
+        image = _mask_map(perm)
+        for k in range((len(perm) + 7) // 8):
+            for b in range(1 << min(8, len(perm) - 8 * k)):
+                assert image(b << 8 * k) \
+                    == sum(1 << perm[i] for i in _bits(b << 8 * k))
 
 
 def test_lattice_holds_masks_and_mobius_per_rank():

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cmarr.errors import LayoutMismatch, NonIntegral, NotStable
 from cmarr.exactlin import normalize_covector
@@ -15,6 +15,7 @@ from cmarr.symmetry import (BlockPermutation, StabilityResult, act,
                             contains_subarrangement, generator_permutations,
                             group_order, hyperplane_orbits, is_stable,
                             terminalization_count)
+from reference import symmetric_arrangements
 
 
 def test_stability_result_api():
@@ -201,6 +202,15 @@ def test_hyperplane_orbits_match_search(corpus):
     for arr in corpus + extra:
         assert hyperplane_orbits(arr, arr.weyl) \
             == _orbits_by_search(arr, arr.weyl)
+
+
+@settings(deadline=None, max_examples=60)
+@given(symmetric_arrangements())
+def test_hyperplane_orbits_match_search_random(arr):
+    """Random layouts, blocks of size 1 and several blocks among them, in a
+    random hyperplane order."""
+    assert hyperplane_orbits(arr, arr.weyl) \
+        == _orbits_by_search(arr, arr.weyl)
 
 
 def test_contains_subarrangement():
