@@ -6,9 +6,8 @@ import sys
 
 from .arrfile import (emit_arrangement, parse_arrangement_with_warnings,
                       parse_weyl_token)
-from .errors import (CmarrError, InconsistentCounts, InputError,
-                     InvalidParams, LayoutMismatch, ParseError, StrictUnknown,
-                     UnknownGenerator)
+from .errors import (CmarrError, InconsistentCounts, InputError, InvalidParams,
+                     ParseError, StrictUnknown, UnknownGenerator)
 from .intpoly import exponents_from_poincare
 # _interpolate_counts, complement_count and _counts_parallel go unused, but
 # bench/trace_job.WRAPS and test_bench_contract name them (ROADMAP
@@ -17,7 +16,8 @@ from .lattice import (_interpolate_counts, admissible_primes, build_lattice,
                       characteristic_polynomial, complement_count,
                       char_poly_finite_field, poincare_polynomial)
 from .symmetry import (contains_subarrangement, gen_coxeter_namikawa,
-                       hyperplane_orbits, is_stable, terminalization_count)
+                       generator_permutations, hyperplane_orbits, is_stable,
+                       terminalization_count)
 
 SCHEMA_VERSION = 1
 
@@ -128,11 +128,6 @@ def run_analyze(arr, args):
         report["freeness"] = verdict.to_dict()
         if args.strict and verdict.status == "Unknown":
             raise StrictUnknown("freeness verdict Unknown under --strict")
-    if args.stability or args.orbits or args.e_count:
-        if arr.weyl is None:
-            raise LayoutMismatch(
-                "stage requires a Weyl layout (weyl header or generator "
-                "metadata)")
     if args.stability:
         st = is_stable(arr, arr.weyl)
         cox = gen_coxeter_namikawa(arr.weyl)
@@ -150,6 +145,8 @@ def run_analyze(arr, args):
         orbits = hyperplane_orbits(arr, arr.weyl)
         report["orbits"] = [list(o) for o in orbits]
     if args.e_count:
+        # e counts terminalizations up to W only where W acts
+        generator_permutations(arr, arr.weyl)
         report["e_count"] = terminalization_count(p, arr.weyl)
     if args.ff_primes:
         k = max(args.ff_primes, arr.dim + 1)

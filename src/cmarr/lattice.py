@@ -9,8 +9,7 @@ from math import gcd
 from operator import mul
 
 from .errors import (BadPrime, DimensionMismatch, FlatNotInLattice,
-                     InconsistentCounts, InvalidParams, LayoutMismatch,
-                     MobiusSignViolation, NotStable)
+                     InconsistentCounts, InvalidParams, MobiusSignViolation)
 # common_kernel, rref and in_row_span are unused here but stay bound in this
 # module: bench/trace_job.py wraps them by name.
 from .exactlin import (common_kernel, echelon_insert, in_row_span,  # noqa: F401
@@ -24,9 +23,10 @@ class Arrangement:
 
     Optional metadata: a label, per-hyperplane 'T'/'F' tags, and a Weyl block
     layout (tuple of symmetric-group sizes m, each acting on a zero-sum block
-    contributing m-1 essential coordinates).  `_perms`, None until the first
-    `symmetry.generator_permutations` call that finds arr stable, keeps that
-    layout and its generators' hyperplane permutations.
+    contributing m-1 essential coordinates).  `_perms`, None until the
+    layout gate of `symmetry` first decides a layout on arr, keeps that
+    layout and its verdict: the generators' hyperplane permutations when
+    arr is stable, the unstable witness otherwise.
     """
 
     __slots__ = ("dim", "hyperplanes", "label", "tags", "weyl", "_rank",
@@ -249,21 +249,6 @@ def flat_children(covs, x, rows, done):
     return children
 
 
-def _generator_maps(arr):
-    """The `_mask_map`s of the block generators of arr.weyl, by which they
-    permute the flats; an empty list without a layout that fits arr.dim and
-    leaves arr stable."""
-    if arr.weyl is None:
-        return []
-    # symmetry imports this module, so the import waits for the call
-    from .symmetry import generator_permutations
-    try:
-        perms = generator_permutations(arr, arr.weyl)
-    except (LayoutMismatch, NotStable):
-        return []
-    return [_mask_map(perm) for perm in perms]
-
-
 def _mask_map(perm):
     """The map sending mask y to its image under the index permutation
     perm, the mask of the bits perm[i] for the bits i of y.
@@ -310,14 +295,16 @@ def build_lattice(arr):
     central arrangement is the intersection of the hyperplanes containing
     it.
 
-    The block generators of a stable `weyl` layout permute the hyperplanes,
-    hence the flats, as linear automorphisms.  Each level is kept as orbits
-    of flats under the group W they generate: only an orbit's representative
-    carries its span as integer echelon rows (see `exactlin.reduce_covector`)
-    and has its children found by `flat_children`.  A child outside every
-    known orbit starts a new one, closed by `_orbit` under the generators'
-    `_mask_map`s (`_generator_maps`).  Every flat of the next level covers
-    some g x with x a representative, so lies in the orbit of a child of x.
+    The block generators of a layout that leaves A stable permute the
+    hyperplanes, hence the flats, as linear automorphisms.  Each level is
+    kept as orbits of flats under the group W they generate: only an orbit's
+    representative carries its span as integer echelon rows (see
+    `exactlin.reduce_covector`) and has its children found by
+    `flat_children`.  A child outside every known orbit starts a new one,
+    closed by `_orbit` under the `_mask_map`s of the generators' index
+    permutations, which `symmetry`'s layout gate gives
+    (`layout_permutations`).  Every flat of the next level covers some g x
+    with x a representative, so lies in the orbit of a child of x.
     Without a stable layout W is trivial and every flat is its own orbit.
 
     Each flat is reduced into existence once.  A known mask y of the next
@@ -337,8 +324,10 @@ def build_lattice(arr):
     (-1)^rank raises MobiusSignViolation.  Within a level flats are ordered
     by their sorted hyperplane indices.
     """
+    # symmetry imports this module, so the import waits for the call
+    from .symmetry import layout_permutations
     covs = arr.hyperplanes
-    gens = _generator_maps(arr)
+    gens = [_mask_map(perm) for perm in layout_permutations(arr)]
     masks, mobius = [(0,)], [(1,)]
     reps = [(0, (), 1, 1)]  # (mask, echelon rows, orbit size, mu)
     rep_masks = [(0,)]

@@ -11,6 +11,7 @@ is applied to covectors.
 from collections import namedtuple
 from math import factorial
 
+from .arrfile import format_weyl
 from .errors import InvalidParams, LayoutMismatch, NonIntegral, NotStable
 from .exactlin import project_zero_sum
 from .intpoly import exponents_from_poincare
@@ -80,6 +81,10 @@ class BlockPermutation:
 
 
 def _check_layout(arr, blocks):
+    if blocks is None:
+        raise LayoutMismatch(
+            "stage requires a Weyl layout (weyl header or generator "
+            "metadata)")
     blocks = tuple(int(b) for b in blocks)
     dim = sum(m - 1 for m in blocks)
     if dim != arr.dim:
@@ -122,42 +127,65 @@ class StabilityResult(namedtuple("StabilityResult",
         return self.stable
 
 
-def generator_permutations(arr, spec):
-    """The block generators as index permutations of arr's hyperplanes.
+def _layout_verdict(arr, spec):
+    """The one gate for a block layout: does it act on arr?
 
-    Entry k maps each hyperplane index i to the index of its image under the
-    k-th generator of `block_generators`.  Raises LayoutMismatch when the
-    layout does not fit arr.dim, and NotStable, carrying the first generator
-    and the first covector it moves outside the set, when arr is not stable.
-    A stable result is kept on arr (its `_perms` slot, one layout at a
-    time), so later calls for the same layout compute nothing.
+    Raises LayoutMismatch when spec is None or does not fit arr.dim.
+    Otherwise returns the verdict: when arr is stable, the block generators
+    as index permutations of arr's hyperplanes (entry k maps each index i
+    to the index of i's image under the k-th generator of
+    `block_generators`); when it is not, the unstable StabilityResult,
+    carrying the first generator and the first covector it moves outside
+    the set.  Either verdict is kept on arr (its `_perms` slot, one layout
+    at a time), so a job decides stability once.
     """
     blocks = _check_layout(arr, spec)
-    if arr._perms is not None and arr._perms[0] == blocks:
-        return arr._perms[1]
-    index_of = {c: i for i, c in enumerate(arr.hyperplanes)}
-    perms = []
-    for g in block_generators(blocks):
-        perm = []
-        for c in arr.hyperplanes:
-            j = index_of.get(g.apply_covector(c))
-            if j is None:
-                raise NotStable(
-                    "arrangement is not stable under %r (generator %r "
-                    "moves %r outside the set)" % (list(blocks), g, c), g, c)
-            perm.append(j)
-        perms.append(tuple(perm))
-    arr._perms = (blocks, tuple(perms))
+    if arr._perms is None or arr._perms[0] != blocks:
+        arr._perms = (blocks, _index_permutations(arr, blocks))
     return arr._perms[1]
 
 
-def is_stable(arr, spec):
-    """Set-wise invariance under each adjacent-transposition generator."""
+def _index_permutations(arr, blocks):
+    index_of = {c: i for i, c in enumerate(arr.hyperplanes)}
+    perms = []
+    for g in block_generators(blocks):
+        perm = [index_of.get(g.apply_covector(c)) for c in arr.hyperplanes]
+        if None in perm:
+            return StabilityResult(False, g, arr.hyperplanes[perm.index(None)])
+        perms.append(tuple(perm))
+    return tuple(perms)
+
+
+def layout_permutations(arr):
+    """The index permutations by which arr's own layout acts on it, for the
+    lattice build: the gate's when the layout fits and leaves arr stable,
+    and none, the trivial group, otherwise."""
     try:
-        generator_permutations(arr, spec)
-    except NotStable as e:
-        return StabilityResult(False, e.generator, e.covector)
-    return StabilityResult(True)
+        verdict = _layout_verdict(arr, arr.weyl)
+    except LayoutMismatch:
+        return ()
+    return () if isinstance(verdict, StabilityResult) else verdict
+
+
+def generator_permutations(arr, spec):
+    """The gate's verdict when it is stable: the block generators as index
+    permutations of arr's hyperplanes.  Raises LayoutMismatch as the gate
+    does, and NotStable, carrying the witness, when arr is not stable."""
+    verdict = _layout_verdict(arr, spec)
+    if isinstance(verdict, StabilityResult):
+        g, c = verdict.witness_generator, verdict.witness_covector
+        raise NotStable(
+            "arrangement is not stable under %r (generator %r moves %r "
+            "outside the set)" % (list(g.blocks), g, c), g, c)
+    return verdict
+
+
+def is_stable(arr, spec):
+    """Set-wise invariance under each adjacent-transposition generator: the
+    gate's verdict, with its witness when arr is not stable."""
+    verdict = _layout_verdict(arr, spec)
+    stable = not isinstance(verdict, StabilityResult)
+    return StabilityResult(True) if stable else verdict
 
 
 def hyperplane_orbits(arr, spec):
@@ -199,8 +227,8 @@ def gen_coxeter_namikawa(spec):
                 amb[pos + j] = -1
                 covs.append(project_zero_sum(amb, blocks))
         pos += m
-    return Arrangement(dim, covs, label="coxeter-%s" % "x".join(
-        "S%d" % b for b in blocks), tags=["T"] * len(covs), weyl=blocks)
+    return Arrangement(dim, covs, label="coxeter-" + format_weyl(blocks),
+                       tags=["T"] * len(covs), weyl=blocks)
 
 
 def contains_subarrangement(arr, sub):

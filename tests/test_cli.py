@@ -20,7 +20,7 @@ from cmarr.errors import (EmptyBody, InvalidParams, LayoutMismatch,
                           NotStable, ParseError)
 from cmarr.exactlin import project_zero_sum
 from cmarr.generators import gen_G8, gen_wreath
-from cmarr.lattice import Arrangement
+from cmarr.lattice import Arrangement, build_lattice
 from cmarr.symmetry import (block_generators, generator_permutations,
                             hyperplane_orbits, is_stable)
 
@@ -563,9 +563,87 @@ def test_unstable_layout_stability_and_orbits(capsys, tmp_path):
         "covector": list(st.witness_covector)}
     with pytest.raises(NotStable) as exc:
         hyperplane_orbits(arr, arr.weyl)
-    code, out, err = run(capsys, ["analyze", str(path), "--orbits"])
-    assert code == 2 and out == ""
-    assert err == "error: %s\n" % exc.value
+    # e counts terminalizations up to W only where W acts
+    for flag in ("--orbits", "--e-count"):
+        code, out, err = run(capsys, ["analyze", str(path), flag])
+        assert code == 2 and out == ""
+        assert err == "error: %s\n" % exc.value
+
+
+NO_LAYOUT = ("error: stage requires a Weyl layout (weyl header or generator "
+             "metadata)")
+NOT_STABLE = ("error: arrangement is not stable under [4] (generator "
+              "BlockPermutation([4], [[1, 0, 2, 3]]) moves (1, 0, -1) "
+              "outside the set)")
+
+
+# (layout, stable, the gate's error, then per flag --stability, --orbits,
+# --e-count the exit code and first stderr line of `analyze`); the
+# arrangement is G8, with its first hyperplane deleted where unstable
+@pytest.mark.parametrize("weyl, stable, error, runs", [
+    (None, None, NO_LAYOUT, [(2, NO_LAYOUT)] * 3),
+    # a file cannot hold a layout that does not fit its dimension
+    ((3,), None, "error: blocks [3] give essential dimension 2, "
+     "arrangement has 3",
+     [(1, "error: weyl layout S3 does not match dimension 3")] * 3),
+    ((4,), False, NOT_STABLE, [(0, ""), (2, NOT_STABLE), (2, NOT_STABLE)]),
+    ((4,), True, None, [(0, "")] * 3),
+], ids=["none", "misfit", "unstable", "stable"])
+def test_one_weyl_gate(capsys, tmp_path, weyl, stable, error, runs):
+    """Whether a layout acts is decided by symmetry's one gate: the lattice
+    build works on the trivial group unless it is stable, and the stages
+    raise the gate's error or read its verdict."""
+    covs = gen_G8().hyperplanes[1 if stable is False else 0:]
+    lat = build_lattice(Arrangement(3, covs, weyl=weyl))
+    plain = build_lattice(Arrangement(3, covs))
+    assert (lat.masks, lat.mobius) == (plain.masks, plain.mobius)
+    # the trivial group reduces every flat
+    trivial = [sorted(level) for level in lat.representatives] \
+        == [sorted(level) for level in lat.masks]
+    assert trivial is not stable
+    arr = Arrangement(3, covs, weyl=weyl)
+    if stable is None:
+        for stage in (is_stable, hyperplane_orbits):
+            with pytest.raises(LayoutMismatch) as exc:
+                stage(arr, weyl)
+            assert "error: %s" % exc.value == error
+    else:
+        assert is_stable(arr, weyl).stable is stable
+        if stable:
+            assert len(hyperplane_orbits(arr, weyl)) == 4
+        else:
+            with pytest.raises(NotStable) as exc:
+                hyperplane_orbits(arr, weyl)
+            assert "error: %s" % exc.value == error
+    path = tmp_path / "g8.arr"
+    path.write_text(emit_arrangement(arr))
+    for flag, (code, line) in zip(["--stability", "--orbits", "--e-count"],
+                                  runs):
+        got, _, err = run(capsys, ["analyze", str(path), flag])
+        assert (got, err.split("\n")[0]) == (code, line)
+
+
+def test_unstable_job_decides_stability_once(capsys, tmp_path,
+                                             monkeypatch):
+    """The lattice build and --stability read one verdict, kept on the
+    arrangement when it is unstable too."""
+    import cmarr.symmetry as sym_mod
+    real_generators = sym_mod.block_generators
+    calls = []
+
+    def counting(blocks):
+        calls.append(blocks)
+        return real_generators(blocks)
+
+    monkeypatch.setattr(sym_mod, "block_generators", counting)
+    g8 = gen_G8()
+    path = tmp_path / "g8-del.arr"
+    path.write_text(emit_arrangement(
+        Arrangement(g8.dim, g8.hyperplanes[1:], weyl=g8.weyl)))
+    code, out, _ = run(capsys, ["analyze", str(path), "--poincare",
+                                "--stability"])
+    assert code == 0 and "stability: unstable" in out
+    assert calls == [(4,)]
 
 
 def test_analyze_ff_threads_agree(capsys, tmp_path):

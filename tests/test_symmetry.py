@@ -134,6 +134,13 @@ def test_orbits_require_stability():
         hyperplane_orbits(Arrangement(2, [(1, 0)]), (3,))
 
 
+@pytest.mark.parametrize("stage", [is_stable, hyperplane_orbits])
+def test_weyl_stages_without_a_layout(stage):
+    with pytest.raises(LayoutMismatch, match=r"^stage requires a Weyl "
+                       r"layout \(weyl header or generator metadata\)$"):
+        stage(gen_G8(), None)
+
+
 def test_unstable_witness_and_message():
     # G8 minus its first hyperplane: the first generator is the first to
     # move a covector outside, and (1, 0, -1) the first covector it moves

@@ -42,6 +42,7 @@ FAILURES = [
     ("non-utf8", NON_UTF8, False, ["--poincare"], 1),
     ("non-utf8-stdin", NON_UTF8, True, ["--poincare"], 1),
     ("no-layout", b"dim 2\nh 1 0\nh 0 1\n", False, ["--e-count"], 2),
+    ("unstable-e-count", "G8-del1", False, ["--e-count"], 2),
     ("strict-unknown", "G8", False,
      ["--free", "--budget", "1", "--strict"], 3),
 ]
