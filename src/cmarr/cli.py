@@ -129,7 +129,7 @@ def run_analyze(arr, args):
         if args.strict and verdict.status == "Unknown":
             raise StrictUnknown("freeness verdict Unknown under --strict")
     if args.stability:
-        st = is_stable(arr, arr.weyl)
+        st = is_stable(arr)
         cox = gen_coxeter_namikawa(arr.weyl)
         report["stability"] = {
             "weyl": list(arr.weyl),
@@ -142,11 +142,11 @@ def run_analyze(arr, args):
             "contains_coxeter": contains_subarrangement(arr, cox),
         }
     if args.orbits:
-        orbits = hyperplane_orbits(arr, arr.weyl)
+        orbits = hyperplane_orbits(arr)
         report["orbits"] = [list(o) for o in orbits]
     if args.e_count:
         # e counts terminalizations up to W only where W acts
-        generator_permutations(arr, arr.weyl)
+        generator_permutations(arr)
         report["e_count"] = terminalization_count(p, arr.weyl)
     if args.ff_primes:
         k = max(args.ff_primes, arr.dim + 1)

@@ -20,7 +20,23 @@ from .symmetry import gen_coxeter_namikawa
 # ---------------------------------------------------------------------------
 # simply laced root systems, in simple-root coefficient coordinates
 
-_LABEL_RE = re.compile(r"^([ADE])(\d+)$")
+_LABEL_RE = re.compile(r"([ADE])(\d+)")
+
+
+def _parse_label(label):
+    """(family, rank) of a simply laced root system label such as "D4".
+    The whole label must match, so "A1\n" is no label."""
+    m = _LABEL_RE.fullmatch(label)
+    if not m:
+        raise UnsupportedType("bad root system label %r" % label)
+    family, n = m.group(1), int(m.group(2))
+    if family == "A" and n < 1:
+        raise UnsupportedType("A_n needs n >= 1")
+    if family == "D" and n < 4:
+        raise UnsupportedType("D_n needs n >= 4")
+    if family == "E" and n not in (6, 7, 8):
+        raise UnsupportedType("E_n needs n in {6,7,8}")
+    return family, n
 
 
 def cartan_matrix(family, n):
@@ -62,16 +78,7 @@ class RootSystem:
                  "all_roots")
 
     def __init__(self, label):
-        m = _LABEL_RE.match(label)
-        if not m:
-            raise UnsupportedType("bad root system label %r" % label)
-        family, n = m.group(1), int(m.group(2))
-        if family == "A" and n < 1:
-            raise UnsupportedType("A_n needs n >= 1")
-        if family == "D" and n < 4:
-            raise UnsupportedType("D_n needs n >= 4")
-        if family == "E" and n not in (6, 7, 8):
-            raise UnsupportedType("E_n needs n in {6,7,8}")
+        family, n = _parse_label(label)
         self.label = label
         self.family = family
         self.rank = n
@@ -208,12 +215,12 @@ def gen_wreath(g_label, group_order, n):
 
 def default_group_order(g_label):
     """|G| of the Kleinian group matching each simply laced type."""
-    rs = RootSystem(g_label)
-    if rs.family == "A":
-        return rs.rank + 1
-    if rs.family == "D":
-        return 4 * (rs.rank - 2)
-    return {6: 24, 7: 48, 8: 120}[rs.rank]
+    family, n = _parse_label(g_label)
+    if family == "A":
+        return n + 1
+    if family == "D":
+        return 4 * (n - 2)
+    return {6: 24, 7: 48, 8: 120}[n]
 
 
 def gen_G4():

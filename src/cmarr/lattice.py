@@ -9,7 +9,8 @@ from math import gcd
 from operator import mul
 
 from .errors import (BadPrime, DimensionMismatch, FlatNotInLattice,
-                     InconsistentCounts, InvalidParams, MobiusSignViolation)
+                     InconsistentCounts, InvalidParams, LayoutMismatch,
+                     MobiusSignViolation)
 # common_kernel, rref and in_row_span are unused here but stay bound in this
 # module: bench/trace_job.py wraps them by name.
 from .exactlin import (common_kernel, echelon_insert, in_row_span,  # noqa: F401
@@ -23,10 +24,11 @@ class Arrangement:
 
     Optional metadata: a label, per-hyperplane 'T'/'F' tags, and a Weyl block
     layout (tuple of symmetric-group sizes m, each acting on a zero-sum block
-    contributing m-1 essential coordinates).  `_perms`, None until the
-    layout gate of `symmetry` first decides a layout on arr, keeps that
-    layout and its verdict: the generators' hyperplane permutations when
-    arr is stable, the unstable witness otherwise.
+    contributing m-1 essential coordinates).  A layout with a block below 1,
+    or whose blocks do not give the dimension, raises LayoutMismatch.
+    `_perms`, None until the layout gate of `symmetry` first decides the
+    layout on arr, keeps its verdict: the generators' hyperplane
+    permutations when arr is stable, the unstable witness otherwise.
     """
 
     __slots__ = ("dim", "hyperplanes", "label", "tags", "weyl", "_rank",
@@ -48,14 +50,21 @@ class Arrangement:
         self.label = label
         self.tags = None if tags is None \
             else tuple(tags[i] for i in first.values())
-        self.weyl = tuple(weyl) if weyl is not None else None
+        self.weyl = weyl = None if weyl is None else tuple(weyl)
+        if weyl is not None and min(weyl, default=1) < 1:
+            raise LayoutMismatch("blocks %r need sizes >= 1" % list(weyl))
+        if weyl is not None and sum(weyl) - len(weyl) != self.dim:
+            raise LayoutMismatch(
+                "blocks %r give essential dimension %d, arrangement has %d"
+                % (list(weyl), sum(weyl) - len(weyl), self.dim))
         self._rank = None
         self._perms = None
 
     @classmethod
     def _trusted(cls, dim, hyperplanes, label, tags, weyl):
         """An arrangement holding the tuple `hyperplanes` as it is, for
-        covectors some arrangement already normalized and deduplicated."""
+        covectors some arrangement already normalized and deduplicated, and
+        `weyl`, None or a layout already checked to fit dim."""
         out = cls.__new__(cls)
         out.dim = dim
         out.hyperplanes = hyperplanes

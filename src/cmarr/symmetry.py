@@ -80,20 +80,6 @@ class BlockPermutation:
                                              [list(p) for p in self.perms])
 
 
-def _check_layout(arr, blocks):
-    if blocks is None:
-        raise LayoutMismatch(
-            "stage requires a Weyl layout (weyl header or generator "
-            "metadata)")
-    blocks = tuple(int(b) for b in blocks)
-    dim = sum(m - 1 for m in blocks)
-    if dim != arr.dim:
-        raise LayoutMismatch(
-            "blocks %r give essential dimension %d, arrangement has %d"
-            % (list(blocks), dim, arr.dim))
-    return blocks
-
-
 def block_generators(blocks):
     """Adjacent transpositions of each block: generators of the group."""
     gens = []
@@ -109,7 +95,6 @@ def block_generators(blocks):
 
 def act(perm, arr):
     """The image arrangement: every covector pulled through the action."""
-    _check_layout(arr, perm.blocks)
     covs = [perm.apply_covector(c) for c in arr.hyperplanes]
     return Arrangement(arr.dim, covs, label=arr.label, tags=arr.tags,
                        weyl=arr.weyl)
@@ -127,28 +112,31 @@ class StabilityResult(namedtuple("StabilityResult",
         return self.stable
 
 
-def _layout_verdict(arr, spec):
-    """The one gate for a block layout: does it act on arr?
+def _layout_verdict(arr):
+    """The one gate for arr's own block layout: does it act on arr?
 
-    Raises LayoutMismatch when spec is None or does not fit arr.dim.
-    Otherwise returns the verdict: when arr is stable, the block generators
-    as index permutations of arr's hyperplanes (entry k maps each index i
-    to the index of i's image under the k-th generator of
-    `block_generators`); when it is not, the unstable StabilityResult,
-    carrying the first generator and the first covector it moves outside
-    the set.  Either verdict is kept on arr (its `_perms` slot, one layout
-    at a time), so a job decides stability once.
+    Raises LayoutMismatch when arr has no layout; `Arrangement` checked
+    that one it has fits arr.dim.  Otherwise returns the verdict: when arr
+    is stable, the block generators as index permutations of arr's
+    hyperplanes (entry k maps each index i to the index of i's image under
+    the k-th generator of `block_generators`); when it is not, the unstable
+    StabilityResult, carrying the first generator and the first covector it
+    moves outside the set.  Either verdict is kept on arr (its `_perms`
+    slot), so a job decides stability once.
     """
-    blocks = _check_layout(arr, spec)
-    if arr._perms is None or arr._perms[0] != blocks:
-        arr._perms = (blocks, _index_permutations(arr, blocks))
-    return arr._perms[1]
+    if arr.weyl is None:
+        raise LayoutMismatch(
+            "stage requires a Weyl layout (weyl header or generator "
+            "metadata)")
+    if arr._perms is None:
+        arr._perms = _index_permutations(arr)
+    return arr._perms
 
 
-def _index_permutations(arr, blocks):
+def _index_permutations(arr):
     index_of = {c: i for i, c in enumerate(arr.hyperplanes)}
     perms = []
-    for g in block_generators(blocks):
+    for g in block_generators(arr.weyl):
         perm = [index_of.get(g.apply_covector(c)) for c in arr.hyperplanes]
         if None in perm:
             return StabilityResult(False, g, arr.hyperplanes[perm.index(None)])
@@ -158,20 +146,17 @@ def _index_permutations(arr, blocks):
 
 def layout_permutations(arr):
     """The index permutations by which arr's own layout acts on it, for the
-    lattice build: the gate's when the layout fits and leaves arr stable,
+    lattice build: the gate's when arr has a layout that leaves it stable,
     and none, the trivial group, otherwise."""
-    try:
-        verdict = _layout_verdict(arr, arr.weyl)
-    except LayoutMismatch:
-        return ()
+    verdict = () if arr.weyl is None else _layout_verdict(arr)
     return () if isinstance(verdict, StabilityResult) else verdict
 
 
-def generator_permutations(arr, spec):
+def generator_permutations(arr):
     """The gate's verdict when it is stable: the block generators as index
     permutations of arr's hyperplanes.  Raises LayoutMismatch as the gate
     does, and NotStable, carrying the witness, when arr is not stable."""
-    verdict = _layout_verdict(arr, spec)
+    verdict = _layout_verdict(arr)
     if isinstance(verdict, StabilityResult):
         g, c = verdict.witness_generator, verdict.witness_covector
         raise NotStable(
@@ -180,23 +165,25 @@ def generator_permutations(arr, spec):
     return verdict
 
 
-def is_stable(arr, spec):
-    """Set-wise invariance under each adjacent-transposition generator: the
-    gate's verdict, with its witness when arr is not stable."""
-    verdict = _layout_verdict(arr, spec)
-    stable = not isinstance(verdict, StabilityResult)
-    return StabilityResult(True) if stable else verdict
+def is_stable(arr):
+    """Set-wise invariance under each adjacent-transposition generator of
+    arr's layout: the gate's verdict, with its witness when arr is not
+    stable."""
+    verdict = _layout_verdict(arr)
+    return verdict if isinstance(verdict, StabilityResult) \
+        else StabilityResult(True)
 
 
-def hyperplane_orbits(arr, spec):
-    """Orbit partition of hyperplane indices under the generated group.
+def hyperplane_orbits(arr):
+    """Orbit partition of hyperplane indices under the group arr's layout
+    generates.
 
     The orbit of hyperplane i is closed by `_orbit`, the closure the lattice
     build runs on flat masks, here on indices under the generators' index
     permutations, so no mask map is built.  Each orbit is closed once, from
     its least index, and sorted, so the orbits come out sorted.
     """
-    maps = [p.__getitem__ for p in generator_permutations(arr, spec)]
+    maps = [p.__getitem__ for p in generator_permutations(arr)]
     orbits, placed = [], set()
     for i in range(len(arr.hyperplanes)):
         if i not in placed:

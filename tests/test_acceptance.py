@@ -54,7 +54,7 @@ def test_criterion_1_g8_pipeline(capsys, tmp_path):
     assert p == IntPolynomial.from_factors([[1, 1], [1, 11], [1, 13]])
     v = inductive_freeness(g8)
     assert v.status == "InductivelyFree" and v.exponents == (1, 11, 13)
-    assert is_stable(g8, (4,)).stable
+    assert is_stable(g8).stable
     assert contains_subarrangement(g8, gen_coxeter_namikawa((4,)))
     assert p(1) == 336 and terminalization_count(p, (4,)) == 14
     with capsys.disabled():
@@ -67,7 +67,7 @@ def test_criterion_2_g4_pipeline(capsys):
     p = poincare_polynomial(build_lattice(g4))
     assert p == IntPolynomial([1, 6, 5])
     assert terminalization_count(p, (3,)) == 2
-    assert is_stable(g4, (3,)).stable
+    assert is_stable(g4).stable
     t_set = {c for c, t in zip(g4.hyperplanes, g4.tags) if t == "T"}
     assert t_set == set(gen_coxeter_namikawa((3,)).hyperplanes)
     with capsys.disabled():
@@ -82,7 +82,7 @@ def test_criterion_3_dihedral_pipeline(capsys):
     p = poincare_polynomial(build_lattice(d))
     assert terminalization_count(p, (2, 2)) == 2
     # orbits {k1}, {k2}, {k1 +- k2} in the generator's hyperplane order
-    assert hyperplane_orbits(d, (2, 2)) == ((0,), (1,), (2, 3))
+    assert hyperplane_orbits(d) == ((0,), (1,), (2, 3))
     with capsys.disabled():
         _report(3, "dihedral pipeline", started, 1)
 

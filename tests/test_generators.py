@@ -74,6 +74,19 @@ def test_root_system_bad_labels():
             root_system(label)
 
 
+def test_group_order_reads_labels_as_root_system_does():
+    """default_group_order rejects each label that root_system rejects,
+    with the same message; a trailing newline is no part of a label."""
+    for label in ("B2", "E9", "D3", "A0", "X1", "foo", "A1\n", "D4\n"):
+        with pytest.raises(UnsupportedType) as built:
+            root_system(label)
+        with pytest.raises(UnsupportedType) as ordered:
+            default_group_order(label)
+        assert str(ordered.value) == str(built.value)
+    assert [default_group_order(g) for g in ("A3", "D4", "E6", "E7", "E8")] \
+        == [4, 8, 24, 48, 120]
+
+
 def test_cyclic_small():
     assert len(gen_cyclic(2)) == 1
     assert poincare(gen_cyclic(2)) == IntPolynomial([1, 1])

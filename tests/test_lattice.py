@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import cmarr.lattice as lattice_mod
 from cmarr.errors import (BadPrime, CmarrError, FlatNotInLattice,
                           InconsistentCounts, InvalidParams,
-                          MobiusSignViolation)
+                          LayoutMismatch, MobiusSignViolation)
 from cmarr.exactlin import common_kernel, in_row_span, rref
 from cmarr.freeness import inductive_freeness
 from cmarr.generators import (gen_G4, gen_G8, gen_coxeter_namikawa,
@@ -703,7 +703,7 @@ def _assert_matches_plain(arr):
 
 
 def test_orbit_build_matches_plain(corpus):
-    arrs = [a for a in corpus if is_stable(a, a.weyl)]
+    arrs = [a for a in corpus if is_stable(a)]
     assert len(arrs) == len(corpus)
     for arr in arrs + [gen_coxeter_namikawa((6,)),
                        gen_coxeter_namikawa((3, 4)),
@@ -722,15 +722,17 @@ def _g8_layout(weyl):
 
 def test_orbit_build_falls_back_without_a_stable_fitting_layout():
     unstable = _g8_minus_one()
-    assert not is_stable(unstable, (4,))
+    assert not is_stable(unstable)
     _assert_matches_plain(unstable)
-    _assert_matches_plain(_g8_layout((3,)))  # dimension 2, not 3
+    # another layout of dimension 3, under which G8 is not stable
+    assert not is_stable(_g8_layout((2, 3)))
+    _assert_matches_plain(_g8_layout((2, 3)))
 
 
 @settings(deadline=None, max_examples=60)
 @given(symmetric_arrangements())
 def test_orbit_build_matches_plain_random(arr):
-    assert is_stable(arr, arr.weyl)
+    assert is_stable(arr)
     _assert_matches_plain(arr)
 
 
@@ -798,7 +800,7 @@ def test_orbit_build_reduces_one_flat_per_orbit(monkeypatch, make, orbits):
 
 
 @pytest.mark.parametrize("make", [
-    _g8_minus_one, lambda: _g8_layout((3,)), lambda: _g8_layout(None)])
+    _g8_minus_one, lambda: _g8_layout((2, 3)), lambda: _g8_layout(None)])
 def test_plain_build_reduces_every_flat(monkeypatch, make):
     calls, lat = _flat_children_calls(monkeypatch, make())
     assert len(calls) == len(lat.flats)
@@ -893,6 +895,15 @@ def test_relabelled_matches_plain_random(arr, rng):
 def test_relabelled_rejects_a_non_permutation(order):
     with pytest.raises(InvalidParams, match="permutation"):
         build_lattice(CONCURRENT3).relabelled(order)
+
+
+def test_a_layout_that_does_not_fit_fails_at_construction():
+    with pytest.raises(LayoutMismatch) as exc:
+        Arrangement(3, gen_G8().hyperplanes, weyl=(3,))
+    assert str(exc.value) == \
+        "blocks [3] give essential dimension 2, arrangement has 3"
+    with pytest.raises(LayoutMismatch):
+        Arrangement(2, [(1, 0), (0, 1)], weyl=(0, 4))
 
 
 def test_both_constructors_set_every_slot():

@@ -329,7 +329,7 @@ def test_nbc_basis_reversed_order_ignores_kept_layout_and_lattice():
     handed in is G8's own, which is read relabelled; under the reversed
     order the nbc sets still match the definition."""
     arr = gen_G8()
-    assert is_stable(arr, arr.weyl)
+    assert is_stable(arr)
     assert arr._perms is not None
     lat = build_lattice(arr)
     order = tuple(reversed(range(len(arr.hyperplanes))))

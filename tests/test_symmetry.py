@@ -98,32 +98,32 @@ def test_apply_covector_matches_lift(case):
 
 
 def test_stability_g8_g4():
-    assert is_stable(gen_G8(), (4,)).stable
-    assert is_stable(gen_G4(), (3,)).stable
-    assert is_stable(gen_dihedral_even(), (2, 2)).stable
+    assert is_stable(gen_G8()).stable
+    assert is_stable(gen_G4()).stable
+    assert is_stable(gen_dihedral_even()).stable
 
 
 def test_stability_counterexample():
     # the single hyperplane kappa_1 = 0 inside the S3 layout
-    arr = Arrangement(2, [(1, 0)])
-    st = is_stable(arr, (3,))
+    arr = Arrangement(2, [(1, 0)], weyl=(3,))
+    st = is_stable(arr)
     assert not st.stable
     assert st.witness_covector == (1, 0)
     assert st.witness_generator is not None
 
 
 def test_orbits_cyclic3_transitive():
-    assert hyperplane_orbits(gen_cyclic(3), (3,)) == ((0, 1, 2),)
+    assert hyperplane_orbits(gen_cyclic(3)) == ((0, 1, 2),)
 
 
 def test_orbits_dihedral():
-    assert hyperplane_orbits(gen_dihedral_even(), (2, 2)) == \
+    assert hyperplane_orbits(gen_dihedral_even()) == \
         ((0,), (1,), (2, 3))
 
 
 def test_orbits_g4_split_by_tag():
     g4 = gen_G4()
-    orbits = hyperplane_orbits(g4, (3,))
+    orbits = hyperplane_orbits(g4)
     assert len(orbits) == 2
     for orbit in orbits:
         assert len({g4.tags[i] for i in orbit}) == 1
@@ -131,25 +131,25 @@ def test_orbits_g4_split_by_tag():
 
 def test_orbits_require_stability():
     with pytest.raises(NotStable):
-        hyperplane_orbits(Arrangement(2, [(1, 0)]), (3,))
+        hyperplane_orbits(Arrangement(2, [(1, 0)], weyl=(3,)))
 
 
 @pytest.mark.parametrize("stage", [is_stable, hyperplane_orbits])
 def test_weyl_stages_without_a_layout(stage):
     with pytest.raises(LayoutMismatch, match=r"^stage requires a Weyl "
                        r"layout \(weyl header or generator metadata\)$"):
-        stage(gen_G8(), None)
+        stage(Arrangement(3, gen_G8().hyperplanes))
 
 
 def test_unstable_witness_and_message():
     # G8 minus its first hyperplane: the first generator is the first to
     # move a covector outside, and (1, 0, -1) the first covector it moves
-    arr = Arrangement(3, gen_G8().hyperplanes[1:])
-    st = is_stable(arr, (4,))
+    arr = Arrangement(3, gen_G8().hyperplanes[1:], weyl=(4,))
+    st = is_stable(arr)
     assert st.witness_generator == block_generators((4,))[0]
     assert st.witness_covector == (1, 0, -1)
     with pytest.raises(NotStable) as exc:
-        hyperplane_orbits(arr, (4,))
+        hyperplane_orbits(arr)
     assert str(exc.value) == (
         "arrangement is not stable under [4] (generator "
         "BlockPermutation([4], [[1, 0, 2, 3]]) moves (1, 0, -1) outside "
@@ -158,7 +158,7 @@ def test_unstable_witness_and_message():
 
 def test_generator_permutations_follow_the_action():
     arr = gen_wreath("A2", 3, 2)
-    perms = generator_permutations(arr, arr.weyl)
+    perms = generator_permutations(arr)
     gens = block_generators(arr.weyl)
     assert len(perms) == len(gens)
     covs = arr.hyperplanes
@@ -171,17 +171,17 @@ def test_generator_permutations_follow_the_action():
 def test_generator_permutations_are_kept_per_arrangement():
     from cmarr.freeness import deletion
     arr = gen_wreath("A2", 3, 2)
-    perms = generator_permutations(arr, arr.weyl)
-    assert generator_permutations(arr, arr.weyl) is perms
+    perms = generator_permutations(arr)
+    assert generator_permutations(arr) is perms
     # a deletion is a new arrangement, unstable here: nothing is inherited
     with pytest.raises(NotStable):
-        generator_permutations(deletion(arr, 1), arr.weyl)
+        generator_permutations(deletion(arr, 1))
 
 
-def _orbits_by_search(arr, spec):
+def _orbits_by_search(arr):
     """Orbit partition by a breadth-first search over the generators' index
     permutations: the reference for hyperplane_orbits."""
-    perms = generator_permutations(arr, spec)
+    perms = generator_permutations(arr)
     unassigned = set(range(len(arr.hyperplanes)))
     orbits = []
     while unassigned:
@@ -207,8 +207,7 @@ def test_hyperplane_orbits_match_search(corpus):
     extra = [gen_coxeter_namikawa((2, 3, 4)), gen_wreath("A4", 5, 2),
              gen_wreath("A1", 2, 4)]
     for arr in corpus + extra:
-        assert hyperplane_orbits(arr, arr.weyl) \
-            == _orbits_by_search(arr, arr.weyl)
+        assert hyperplane_orbits(arr) == _orbits_by_search(arr)
 
 
 @settings(deadline=None, max_examples=60)
@@ -216,8 +215,33 @@ def test_hyperplane_orbits_match_search(corpus):
 def test_hyperplane_orbits_match_search_random(arr):
     """Random layouts, blocks of size 1 and several blocks among them, in a
     random hyperplane order."""
-    assert hyperplane_orbits(arr, arr.weyl) \
-        == _orbits_by_search(arr, arr.weyl)
+    assert hyperplane_orbits(arr) == _orbits_by_search(arr)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_stability_verdict_on_deletions_random(data):
+    """A symmetric arrangement less a random nonempty set of its
+    hyperplanes, stable or not: the gate is stable exactly when every block
+    generator maps the covector set onto itself, its witness is the first
+    generator that does not and a covector it moves outside the set, and
+    the lattice build is the layout-free one."""
+    arr = data.draw(symmetric_arrangements())
+    gone = data.draw(st.sets(st.sampled_from(arr.hyperplanes), min_size=1))
+    sub = Arrangement(arr.dim, [c for c in arr.hyperplanes if c not in gone],
+                      weyl=arr.weyl)
+    covs = sub.covector_set()
+    moving = [g for g in block_generators(sub.weyl)
+              if act(g, sub).covector_set() != covs]
+    verdict = is_stable(sub)
+    assert verdict.stable == (not moving)
+    if moving:
+        assert verdict.witness_generator == moving[0]
+        assert verdict.witness_covector in covs
+        assert moving[0].apply_covector(verdict.witness_covector) not in covs
+    lat = build_lattice(sub)
+    plain = build_lattice(Arrangement(sub.dim, sub.hyperplanes))
+    assert (lat.masks, lat.mobius) == (plain.masks, plain.mobius)
 
 
 def test_contains_subarrangement():
@@ -256,7 +280,7 @@ def test_generated_arrangements_stable(corpus):
     for arr in corpus:
         if arr.weyl is None:
             continue
-        assert is_stable(arr, arr.weyl).stable, arr.label
+        assert is_stable(arr).stable, arr.label
 
 
 def test_action_composition_law():

@@ -43,6 +43,10 @@ FAILURES = [
     ("non-utf8-stdin", NON_UTF8, True, ["--poincare"], 1),
     ("no-layout", b"dim 2\nh 1 0\nh 0 1\n", False, ["--e-count"], 2),
     ("unstable-e-count", "G8-del1", False, ["--e-count"], 2),
+    ("misfit-layout", b"dim 3\nweyl S3\nh 1 0 0\nh 0 1 0\n", False,
+     ["--stability"], 1),
+    ("zero-block-layout", b"dim 2\nweyl S0xS3\nh 1 0\nh 0 1\n", False,
+     ["--stability"], 1),
     ("strict-unknown", "G8", False,
      ["--free", "--budget", "1", "--strict"], 3),
 ]
