@@ -7,7 +7,7 @@ or for one of its localizations; InductivelyFree certificates are removal
 chains for the addition-deletion triple.
 """
 
-from collections import Counter
+from collections import Counter, namedtuple
 
 from .errors import (DimensionMismatch, ExponentMismatch, IndexOutOfRange,
                      InvalidParams)
@@ -63,35 +63,18 @@ def restriction(arr, h):
     return Arrangement(arr.dim - 1, covs)
 
 
-class FreenessVerdict:
+class FreenessVerdict(namedtuple("FreenessVerdict",
+                                 "status exponents witness nodes_used",
+                                 defaults=((), None, 0))):
     """status is "InductivelyFree", "NotFree" or "Unknown"; nodes_used is
-    set once the search that produced the verdict ends."""
+    the number of nodes the search that returned the verdict decided, 0 on
+    the verdicts of its children.  A verdict whose witness is a dict is not
+    hashable."""
 
-    __slots__ = ("status", "exponents", "witness", "nodes_used")
-
-    def __init__(self, status, exponents=(), witness=None, nodes_used=0):
-        self.status = status
-        self.exponents = exponents
-        self.witness = witness
-        self.nodes_used = nodes_used
-
-    def _fields(self):
-        return self.status, self.exponents, self.witness, self.nodes_used
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self):
-        return ("FreenessVerdict(status=%r, exponents=%r, witness=%r, "
-                "nodes_used=%r)" % self._fields())
+    __slots__ = ()
 
     def to_dict(self):
-        return {"status": self.status,
-                "exponents": list(self.exponents),
-                "witness": self.witness,
-                "nodes_used": self.nodes_used}
+        return dict(self._asdict(), exponents=list(self.exponents))
 
 
 class _Budget:
@@ -120,7 +103,8 @@ def inductive_freeness(arr, budget=DEFAULT_BUDGET, lattice=None):
     exp(A') gets a 0 for the rank it lost.
 
     Each node decided costs one unit of `budget`, and its verdict is
-    memoized by canonical key.  An Unknown verdict's witness gives its
+    memoized by canonical key; the verdict returned carries the number of
+    nodes decided as `nodes_used`.  An Unknown verdict's witness gives its
     reason: "budget" when the budget ran out at the node or at a child it
     read (such a verdict is not memoized), "no_chain" when every candidate
     was searched to the end and none gave a chain.
@@ -132,9 +116,8 @@ def inductive_freeness(arr, budget=DEFAULT_BUDGET, lattice=None):
     memo = {}
     bud = _Budget(budget)
     ess = essentialize(arr)
-    verdict = _inductive(ess, memo, bud, lat=lattice)
-    verdict.nodes_used = bud.used
-    return verdict
+    return _inductive(ess, memo, bud, lat=lattice)._replace(
+        nodes_used=bud.used)
 
 
 def _deletion_lines(lines, h0):

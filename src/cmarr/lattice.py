@@ -5,6 +5,7 @@ polynomial, cross-validated against the Mobius-sum definition.
 """
 
 import itertools
+from collections import namedtuple
 from math import gcd
 from operator import mul
 
@@ -97,29 +98,19 @@ class Arrangement:
             ", label=%r" % self.label if self.label else "")
 
 
-class Flat:
-    """A view of one flat of a lattice: an intersection of some of the
-    hyperplanes.
+class Flat(namedtuple("Flat", "mask rank mobius", defaults=(None,))):
+    """One flat of a lattice: an intersection of some of the hyperplanes.
 
     `mask` has bit i set iff hyperplane i contains the flat; `hyperplanes`
-    reads the same set as a frozenset of indices.
+    reads the same set as a frozenset of indices.  The flat does not name
+    its arrangement: it is read against the lattice it came from.
     """
 
-    __slots__ = ("mask", "rank", "mobius", "_arr")
-
-    def __init__(self, arrangement, mask, rank, mobius=None):
-        self.mask = mask
-        self.rank = rank
-        self.mobius = mobius
-        self._arr = arrangement
+    __slots__ = ()
 
     @property
     def hyperplanes(self):
         return frozenset(_bits(self.mask))
-
-    def __repr__(self):
-        return "Flat(rank=%d, hyperplanes=%s, mobius=%r)" % (
-            self.rank, _bits(self.mask), self.mobius)
 
 
 def _bits(mask):
@@ -139,9 +130,10 @@ class IntersectionLattice:
     sorted hyperplane indices, and `mobius[r]` their Mobius numbers in the
     same positions.  `representatives[r]` holds one mask per W-orbit of
     rank-r flats, the flats `build_lattice` reduced; under the trivial
-    group, every flat.  `flats` builds a new `Flat` view of every flat, rank
-    by rank, on each read.  `relabelled(order)` is the same lattice with the
-    hyperplanes in another order, permuted rather than built again.
+    group, every flat.  `flats` builds a new list of every flat as a
+    `Flat(mask, rank, mobius)`, rank by rank, on each read.
+    `relabelled(order)` is the same lattice with the hyperplanes in another
+    order, permuted rather than built again.
     """
 
     __slots__ = ("arrangement", "masks", "mobius", "representatives",
@@ -159,7 +151,7 @@ class IntersectionLattice:
 
     @property
     def flats(self):
-        return [Flat(self.arrangement, x, r, mu)
+        return [Flat(x, r, mu)
                 for r, level in enumerate(self.masks)
                 for x, mu in zip(level, self.mobius[r])]
 

@@ -4,6 +4,8 @@ Only the graded dimensions of the cohomology of the complement are computed;
 the algebra itself is represented combinatorially through nbc sets.
 """
 
+from collections import namedtuple
+
 # rref is unused here but stays bound in this module: bench/trace_job.py
 # wraps it by name.
 from .exactlin import rref  # noqa: F401
@@ -50,14 +52,15 @@ class CircuitSet:
         return sum(tops.bit_count() for _, tops in self.groups)
 
 
-class NbcBasis:
-    """Independent index sets containing no broken circuit, by cardinality."""
+class NbcBasis(namedtuple("NbcBasis", "order sets_by_size")):
+    """Independent index sets containing no broken circuit, by cardinality.
 
-    __slots__ = ("order", "sets_by_size")
+    `order` is the hyperplane order as a tuple; `sets_by_size[k]` is the
+    tuple of the size-k nbc sets, each a sorted tuple of indices, in
+    lexicographic order.
+    """
 
-    def __init__(self, order, sets_by_size):
-        self.order = tuple(order)
-        self.sets_by_size = tuple(tuple(s) for s in sets_by_size)
+    __slots__ = ()
 
     @property
     def sizes(self):
@@ -152,10 +155,10 @@ def nbc_basis(arr, order=None, lattice=None):
     order = tuple(range(n)) if order is None else tuple(order)
     if order != tuple(range(n)):
         moved = lat.relabelled(order)
-        return NbcBasis(order, [
-            sorted(tuple(sorted(order[p] for p in s)) for s in bucket)
+        return NbcBasis(order, tuple(
+            tuple(sorted(tuple(sorted(order[p] for p in s)) for s in bucket))
             for bucket in nbc_basis(moved.arrangement,
-                                    lattice=moved).sets_by_size])
+                                    lattice=moved).sets_by_size))
     rank = len(lat.masks) - 1
     tops_by_rest = {}
     for base, tops in circuits(arr, lattice=lat).groups:
@@ -184,7 +187,7 @@ def nbc_basis(arr, order=None, lattice=None):
 
     # the DFS lists each size's sets sorted
     dfs((), 0, tops_by_rest.get(0, 0), 0)
-    return NbcBasis(order, sets_by_size)
+    return NbcBasis(order, tuple(map(tuple, sets_by_size)))
 
 
 def os_dimension(arr):

@@ -29,7 +29,7 @@ class BlockPermutation:
         if len(self.blocks) != len(self.perms):
             raise LayoutMismatch("need one permutation per block")
         for m, p in zip(self.blocks, self.perms):
-            if sorted(p) != list(range(m)):
+            if m < 1 or sorted(p) != list(range(m)):
                 raise LayoutMismatch("bad permutation %r for block size %d"
                                      % (list(p), m))
 

@@ -47,8 +47,11 @@ def mobius_by_rank(levels):
     return out
 
 
-def localization(arr, flat):
-    """Sub-arrangement of exactly the hyperplanes containing the flat."""
+def localization(arr, flat, owner=None):
+    """Sub-arrangement of exactly the hyperplanes containing the flat.
+
+    `owner` is the arrangement the flat is a flat of, arr when None.
+    """
     held = flat.hyperplanes
     for i in held:
         if not 0 <= i < len(arr.hyperplanes):
@@ -57,7 +60,7 @@ def localization(arr, flat):
     # and a hyperplane contains it iff its covector lies in their span; a
     # genuine flat of this arrangement lists *every* such hyperplane, so a
     # mismatch either way means the flat belongs to another lattice
-    own = flat._arr.hyperplanes
+    own = (arr if owner is None else owner).hyperplanes
     rows = echelon(own[i] for i in held)
     for i, cov in enumerate(arr.hyperplanes):
         contains = reduce_covector(cov, rows) is None

@@ -172,8 +172,12 @@ def test_freeness_verdict_api():
     assert full != FreenessVerdict("NotFree", (1, 2), {"chain": []}, 5)
     with pytest.raises(TypeError):
         hash(full)
-    # nodes_used is set after the search
-    v.nodes_used = 7
+    assert full == ("InductivelyFree", (1, 2), {"chain": []}, 5)
+    # a verdict is a value: the search returns a copy with nodes_used set
+    for field in FreenessVerdict._fields:
+        with pytest.raises(AttributeError):
+            setattr(v, field, 7)
+    v = v._replace(nodes_used=7)
     assert v.to_dict() == {"status": "Unknown", "exponents": [],
                            "witness": None, "nodes_used": 7}
     assert full.to_dict() == {"status": "InductivelyFree", "exponents": [1, 2],
@@ -731,16 +735,16 @@ def test_inductive_freeness_uses_the_lattice_handed_in(monkeypatch):
     assert len(arr) not in built
 
 
-@pytest.mark.parametrize("flat, message", [
+@pytest.mark.parametrize("flat, owner, message", [
     # lists two of the three lines through the origin
-    (Flat(CONCURRENT3, 0b011, 2), "not listed"),
+    (Flat(0b011, 2), None, "not listed"),
     # the line y = 0 of another arrangement, listed as hyperplane 0 (x = 0)
-    (Flat(Arrangement(2, [(0, 1)]), 0b1, 1), "does not contain"),
-    (Flat(CONCURRENT3, 0b1000, 1), "out of range"),
+    (Flat(0b1, 1), Arrangement(2, [(0, 1)]), "does not contain"),
+    (Flat(0b1000, 1), None, "out of range"),
 ], ids=["unlisted", "not-contained", "out-of-range"])
-def test_localization_rejects_wrong_hyperplane_sets(flat, message):
+def test_localization_rejects_wrong_hyperplane_sets(flat, owner, message):
     with pytest.raises(FlatNotInLattice, match=message):
-        localization(CONCURRENT3, flat)
+        localization(CONCURRENT3, flat, owner)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,18 @@ def test_boolean_pair_lattice():
     assert sorted(f.mobius for f in lat.flats) == [-1, -1, 1, 1]
 
 
+def test_flats_are_values():
+    lat = build_lattice(gen_G4())
+    flats = lat.flats
+    assert flats == [(x, r, mu) for r, level in enumerate(lat.masks)
+                     for x, mu in zip(level, lat.mobius[r])]
+    assert all(f == (f.mask, f.rank, f.mobius) for f in flats)
+    assert flats[-1]._fields == ("mask", "rank", "mobius")
+    for field in flats[-1]._fields:
+        with pytest.raises(AttributeError):
+            setattr(flats[-1], field, 0)
+
+
 def test_three_concurrent_lines_center_mobius():
     lat = build_lattice(CONCURRENT3)
     assert len(lat.flats) == 5

@@ -73,6 +73,20 @@ def test_nbc_three_concurrent():
                                   ((0, 1), (0, 2)))
 
 
+def test_nbc_basis_is_a_value():
+    arr = gen_G8()
+    for order in (None, tuple(reversed(range(len(arr.hyperplanes))))):
+        basis = nbc_basis(arr, order)
+        assert type(basis.sets_by_size) is tuple
+        assert all(type(bucket) is tuple for bucket in basis.sets_by_size)
+        assert all(type(s) is tuple
+                   for bucket in basis.sets_by_size for s in bucket)
+        assert basis == (basis.order, basis.sets_by_size)
+        for field in basis._fields:
+            with pytest.raises(AttributeError):
+                setattr(basis, field, ())
+
+
 def test_nbc_boolean_all_subsets():
     assert nbc_basis(BOOLEAN2).total == 4
 

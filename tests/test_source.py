@@ -172,3 +172,28 @@ def test_arrangements_come_from_their_constructors():
             if bad:
                 found.append("%s:%d %s" % (path.name, node.lineno, owner))
     assert found == []
+
+
+# The classes of src/cmarr that write their own equality, each with the
+# reason a namedtuple, whose equality is that of its fields, cannot serve.
+OWN_EQUALITY = {
+    "IntPolynomial": "it equals polynomials only, never the tuple of its "
+                     "coefficients, so that equal objects hash equal",
+    "BlockPermutation": "its constructor normalizes and checks its input, "
+                        "which a namedtuple could only do in __new__",
+    "Subspace": "its constructor reduces its rows to the echelon basis, "
+                "which a namedtuple could only do in __new__",
+}
+
+
+def test_results_take_their_equality_from_namedtuple():
+    # a result type is a namedtuple with __slots__ = (), as StabilityResult
+    # is: no hand-written __eq__ to keep in step with its fields
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [top.name for top in tree.body
+                  if isinstance(top, ast.ClassDef)
+                  and any(isinstance(node, ast.FunctionDef)
+                          and node.name == "__eq__" for node in top.body)]
+    assert sorted(found) == sorted(OWN_EQUALITY)

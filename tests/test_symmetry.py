@@ -63,6 +63,21 @@ def test_act_layout_mismatch():
             BlockPermutation.identity((2, 3)).apply_covector(cov)
 
 
+@pytest.mark.parametrize("build, size", [
+    (lambda: BlockPermutation([0, 4], [[], [0, 1, 2, 3]]), 0),
+    (lambda: BlockPermutation([-1, 3], [[], [0, 1, 2]]), -1),
+    (lambda: BlockPermutation.identity((0, 4)), 0),
+    (lambda: block_generators((0, 3)), 0),
+], ids=["empty-block", "negative-block", "identity", "generators"])
+def test_block_below_one_is_rejected(build, size):
+    # apply_covector would read the covector's last entry for an empty
+    # block: the identity on (0, 4) would map (1, 2) to (2, 1, 2)
+    with pytest.raises(LayoutMismatch,
+                       match=r"bad permutation \[\] for block size %d$"
+                       % size):
+        build()
+
+
 def _apply_by_lift(blocks, perms, cov):
     """The action spelled out: per block, lift to ambient coefficients
     (0, c_1, ..., c_{m-1}), move position i to sigma(i) and drop the

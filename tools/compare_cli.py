@@ -7,9 +7,9 @@ input (a `-del` job) is also run with `--stability --orbits`: its file
 keeps the base's `weyl` header but is not stable under it, so the Weyl
 layer is compared on unstable inputs too.  The input files come from
 `workloads.emit_inputs`, run once per seed with the first tree's cmarr, so
-both trees read the same bytes.  A fixed list of failing runs (FAILURES)
-is compared too, and each must exit with its listed code.  Standard
-library only.
+both trees read the same bytes.  A fixed list of runs (FIXED), failing
+ones and `--free` runs whose witnesses no workload reaches, is compared
+too, and each must exit with its listed code.  Standard library only.
 
     python3 tools/compare_cli.py OLD_SRC NEW_SRC [--seeds 1 2]
 
@@ -33,10 +33,16 @@ UNSTABLE = ["--stability", "--orbits"]
 
 NON_UTF8 = b"dim 2\nh 1 0\n\x7fELF\xd0\xff\n"
 
-# Runs that must fail: (name, input, whether it goes on stdin, flags, exit
-# code).  The input is the file's bytes, None for a path that does not
-# exist, or the id of the free-search job whose file (first seed) is read.
-FAILURES = [
+# NO_CHAIN3 of tests/test_freeness.py: the search ends with no chain
+NO_CHAIN3 = (b"dim 3\nh 2 -1 0\nh 0 1 0\nh 1 1 0\nh 1 1 -1\nh 1 -1 0\n"
+             b"h 1 -2 0\nh 1 0 2\n")
+
+# Fixed runs: (name, input, whether it goes on stdin, flags, exit code).
+# The input is the file's bytes, None for a path that does not exist, or
+# the id of the free-search job whose file (first seed) is read.  The
+# workloads' verdicts give the witnesses chain, poincare_residual and
+# budget only; the runs that exit 0 give rank<=2 and no_chain.
+FIXED = [
     ("malformed", b"dim 2\nh 1 x\n", False, ["--poincare"], 1),
     ("missing", None, False, ["--poincare"], 1),
     ("non-utf8", NON_UTF8, False, ["--poincare"], 1),
@@ -49,6 +55,8 @@ FAILURES = [
      ["--stability"], 1),
     ("strict-unknown", "G8", False,
      ["--free", "--budget", "1", "--strict"], 3),
+    ("rank-2-free", b"dim 2\nh 1 0\nh 0 1\nh 1 1\n", False, ["--free"], 0),
+    ("no-chain-free", NO_CHAIN3, False, ["--free"], 0),
 ]
 
 
@@ -124,14 +132,14 @@ def main(argv=None):
                     if "-del" in job_id:
                         compare(title, path, UNSTABLE)
         jobs = workloads.emit_inputs("free-search", args.seeds[0])
-        for name, data, stdin, flags, code in FAILURES:
+        for name, data, stdin, flags, code in FIXED:
             path = os.path.join(tmp, name + ".arr")
             if isinstance(data, str):
                 data = jobs[data].encode()
             if data is not None:
                 with open(path, "wb") as fh:
                     fh.write(data)
-            compare("failing run " + name, path, flags, stdin, code)
+            compare("fixed run " + name, path, flags, stdin, code)
     print("%d runs compared, %d differ" % (runs, differing))
     return 1 if differing else 0
 
